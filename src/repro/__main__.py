@@ -265,29 +265,21 @@ def cmd_spec(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_spec_from_args(args: argparse.Namespace):
-    from repro.api.spec import ServeSpec
+def _serving_sections(args: argparse.Namespace) -> dict:
+    """The system, dataset, load and policy sections serve and fleet
+    specs share, from the common serving flags."""
     from repro.serve.loadgen import LoadSpec
-    from repro.serve.server import ServePolicy, ServiceModel
+    from repro.serve.server import ServePolicy
 
-    system = SystemConfig(
-        args.kind,
-        args.refinement,
-        args.proposal,
-        c_thresh=args.c_thresh,
-        seed=args.seed,
-        detailed_ops=False,  # throughput path: skip Table-3 extras
-    )
-    service = None
-    if args.overhead_ms is not None or args.gops is not None:
-        # Explicit uncalibrated rates; ServeSpec rejects combining them
-        # with --device (the profile is what calibrates the model).
-        service = ServiceModel(
-            invocation_overhead_ms=args.overhead_ms,
-            gops_per_second=args.gops,
-        )
-    return ServeSpec(
-        system=system,
+    return dict(
+        system=SystemConfig(
+            args.kind,
+            args.refinement,
+            args.proposal,
+            c_thresh=args.c_thresh,
+            seed=args.seed,
+            detailed_ops=False,  # throughput path: skip Table-3 extras
+        ),
         dataset=DatasetSpec(
             args.dataset,
             num_sequences=args.sequences,
@@ -308,9 +300,22 @@ def _serve_spec_from_args(args: argparse.Namespace):
             shed_policy=args.shed,
             slo_ms=args.slo_ms,
         ),
-        service=service,
-        device=args.device,
     )
+
+
+def _serve_spec_from_args(args: argparse.Namespace):
+    from repro.api.spec import ServeSpec
+    from repro.serve.server import ServiceModel
+
+    service = None
+    if args.overhead_ms is not None or args.gops is not None:
+        # Explicit uncalibrated rates; ServeSpec rejects combining them
+        # with --device (the profile is what calibrates the model).
+        service = ServiceModel(
+            invocation_overhead_ms=args.overhead_ms,
+            gops_per_second=args.gops,
+        )
+    return ServeSpec(**_serving_sections(args), service=service, device=args.device)
 
 
 def _grid_type(convert):
@@ -331,13 +336,15 @@ def _grid_type(convert):
     return parse
 
 
-def _serve_slo_gate(report, slo_p99_ms, slo_wait_p95_ms) -> int:
+def _slo_gate(report, slo_p99_ms, slo_wait_p95_ms=None) -> int:
     """The non-tune ``--slo-p99-ms`` acceptance gate (0 = pass, 1 = fail).
 
     Fails on a p99 miss, on *any* shed frame (shed frames have no
-    latency — dropping load is not a pass), and — when bounded — on a
-    queue-wait p95 miss.  Prints one verdict line per check so CI logs
-    say exactly which bound broke.
+    latency — dropping load is not a pass), when bounded on a queue-wait
+    p95 miss, and for a fleet report on any dead stream (a stream that
+    never got a frame served is an availability failure no latency
+    percentile can reveal).  Prints one verdict line per check so CI
+    logs say exactly which bound broke.
     """
     fleet = report.slo["fleet"]
     failures = []
@@ -352,11 +359,15 @@ def _serve_slo_gate(report, slo_p99_ms, slo_wait_p95_ms) -> int:
             failures.append(
                 f"queue-wait p95 {wait_p95:.1f} ms > target {slo_wait_p95_ms:g} ms"
             )
+    dead = getattr(report, "dead_streams", None)
+    if dead:
+        failures.append(f"{len(dead)} dead stream(s): " + ", ".join(dead))
     if failures:
         for failure in failures:
             print(f"SLO FAIL: {failure}", file=sys.stderr)
         return 1
-    print(f"SLO PASS: p99 {p99:.1f} ms <= {slo_p99_ms:g} ms, nothing shed")
+    verdict = f"SLO PASS: p99 {p99:.1f} ms <= {slo_p99_ms:g} ms, nothing shed"
+    print(verdict if dead is None else f"{verdict}, no dead streams")
     return 0
 
 
@@ -437,7 +448,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(report.format())
     _print_cache_stats(session)
     if args.slo_p99_ms is not None:
-        return _serve_slo_gate(report, args.slo_p99_ms, args.slo_wait_p95_ms)
+        return _slo_gate(report, args.slo_p99_ms, args.slo_wait_p95_ms)
     return 0
 
 
@@ -545,17 +556,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
 def _fleet_spec_from_args(args: argparse.Namespace):
     from repro.fleet import AutoscalerPolicy, FleetSpec
-    from repro.serve.loadgen import LoadSpec
-    from repro.serve.server import ServePolicy
 
-    system = SystemConfig(
-        args.kind,
-        args.refinement,
-        args.proposal,
-        c_thresh=args.c_thresh,
-        seed=args.seed,
-        detailed_ops=False,  # throughput path: skip Table-3 extras
-    )
     autoscaler = None
     if getattr(args, "autoscale", False):
         # The controller defends --slo-p99-ms when given (the same number
@@ -571,62 +572,12 @@ def _fleet_spec_from_args(args: argparse.Namespace):
             scale_in_occupancy=args.scale_in_occupancy,
         )
     return FleetSpec(
-        system=system,
-        dataset=DatasetSpec(
-            args.dataset,
-            num_sequences=args.sequences,
-            frames_per_sequence=args.seq_frames,
-        ),
-        load=LoadSpec(
-            pattern=args.pattern,
-            num_streams=args.streams,
-            rate_hz=args.rate,
-            frames_per_stream=args.frames,
-            seed=args.load_seed,
-            rates=args.rate_per_stream,
-        ),
-        policy=ServePolicy(
-            max_batch_size=args.batch_size,
-            max_wait_ms=args.max_wait_ms,
-            queue_capacity=args.queue_capacity,
-            shed_policy=args.shed,
-            slo_ms=args.slo_ms,
-        ),
+        **_serving_sections(args),
         replicas=args.replicas,
         devices=args.devices,
         placement=args.placement,
         autoscaler=autoscaler,
     )
-
-
-def _fleet_slo_gate(report, slo_p99_ms) -> int:
-    """The fleet ``--slo-p99-ms`` acceptance gate (0 = pass, 1 = fail).
-
-    Fails on a fleet p99 miss, on *any* shed frame, and on any dead
-    stream (a stream that never got a frame served is an availability
-    failure no latency percentile can reveal).
-    """
-    fleet = report.slo["fleet"]
-    failures = []
-    p99 = float(fleet["p99_ms"])
-    if p99 > slo_p99_ms:
-        failures.append(f"p99 {p99:.1f} ms > target {slo_p99_ms:g} ms")
-    if report.frames_shed > 0:
-        failures.append(f"{report.frames_shed} frame(s) shed under the offered load")
-    if report.dead_streams:
-        failures.append(
-            f"{len(report.dead_streams)} dead stream(s): "
-            + ", ".join(report.dead_streams)
-        )
-    if failures:
-        for failure in failures:
-            print(f"SLO FAIL: {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"SLO PASS: p99 {p99:.1f} ms <= {slo_p99_ms:g} ms, "
-        "nothing shed, no dead streams"
-    )
-    return 0
 
 
 def cmd_fleet_run(args: argparse.Namespace) -> int:
@@ -687,7 +638,7 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
         print(f"wrote fleet report to {args.report_out}", file=sys.stderr)
     _print_cache_stats(session)
     if args.slo_p99_ms is not None:
-        return _fleet_slo_gate(report, args.slo_p99_ms)
+        return _slo_gate(report, args.slo_p99_ms)
     return 0
 
 
@@ -745,7 +696,7 @@ def cmd_fleet_report(args: argparse.Namespace) -> int:
             print(f"fingerprint: {spec.fingerprint[:16]}")
     print(report.format())
     if args.slo_p99_ms is not None:
-        return _fleet_slo_gate(report, args.slo_p99_ms)
+        return _slo_gate(report, args.slo_p99_ms)
     return 0
 
 

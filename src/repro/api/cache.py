@@ -23,7 +23,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from repro.core.config import SystemConfig, config_to_dict
 
@@ -81,16 +81,55 @@ class CacheEntry:
     label: Optional[str] = None
 
 
-class ResultCache:
-    """Content-addressed store of serialized :class:`ExperimentResult`\\ s."""
+class EntryStore:
+    """The one on-disk layout every content-addressed store shares.
+
+    Entries live at ``<root>/<fp[:2]>/<fp>.json``; writes are atomic
+    (tmp file + ``os.replace``) and an unreadable entry — missing,
+    corrupt, truncated or of a foreign format — reads as a miss.  Stores
+    differ only in what they serialize: subclasses implement ``load`` /
+    ``store`` over :meth:`_read` and :meth:`_write`.  All of them may
+    share one root (fingerprints are sha256 content addresses, so entry
+    kinds cannot collide), which is what lets ``repro cache
+    stats/ls/prune`` manage every kind at once.
+    """
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
 
     def path_for(self, fingerprint: str) -> Path:
         return self.root / fingerprint[:2] / f"{fingerprint}.json"
+
+    def __contains__(self, fingerprint: str) -> bool:
+        return self.path_for(fingerprint).exists()
+
+    def _read(self, fingerprint: str, section: str, parse: Callable[[Any], Any]) -> Any:
+        """``parse(payload[section])`` of the entry, or ``None`` on a miss."""
+        try:
+            with open(self.path_for(fingerprint), "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+            return parse(payload[section])
+        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError):
+            return None
+
+    def _write(self, fingerprint: str, payload: Dict[str, Any]) -> Path:
+        """Atomically write ``payload`` as the entry for ``fingerprint``."""
+        path = self.path_for(fingerprint)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, allow_nan=True)
+        os.replace(tmp, path)
+        return path
+
+
+class ResultCache(EntryStore):
+    """Content-addressed store of serialized :class:`ExperimentResult`\\ s."""
+
+    def __init__(self, root: Union[str, Path]):
+        super().__init__(root)
+        self.hits = 0
+        self.misses = 0
 
     def load(self, fingerprint: str) -> Optional["ExperimentResult"]:
         """The cached result for ``fingerprint``, or ``None`` on a miss.
@@ -100,18 +139,11 @@ class ResultCache:
         """
         from repro.harness.io import experiment_from_dict
 
-        path = self.path_for(fingerprint)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            result = experiment_from_dict(payload["result"])
-        except FileNotFoundError:
+        result = self._read(fingerprint, "result", experiment_from_dict)
+        if result is None:
             self.misses += 1
-            return None
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return result
 
     def store(
@@ -128,22 +160,15 @@ class ResultCache:
         """
         from repro.harness.io import experiment_to_dict
 
-        payload: Dict[str, Any] = {
-            "format": "repro-result-cache/1",
-            "fingerprint": fingerprint,
-            "spec": spec,
-            "result": experiment_to_dict(result),
-        }
-        path = self.path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, allow_nan=True)
-        os.replace(tmp, path)
-        return path
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return self.path_for(fingerprint).exists()
+        return self._write(
+            fingerprint,
+            {
+                "format": "repro-result-cache/1",
+                "fingerprint": fingerprint,
+                "spec": spec,
+                "result": experiment_to_dict(result),
+            },
+        )
 
     def __len__(self) -> int:
         if not self.root.exists():

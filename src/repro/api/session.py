@@ -257,33 +257,43 @@ class Session:
         the live server; they never affect the spec's fingerprint, and a
         cache hit — having simulated nothing — emits nothing.
         """
-        from repro.serve.loadgen import generate_load
         from repro.serve.server import DetectionServer, ServeReportStore
 
-        # Same root as the experiment cache: `repro cache stats/ls/prune`
-        # then manage serving reports too (content addresses don't collide).
-        store = (
-            ServeReportStore(self.cache.root) if self.cache is not None else None
-        )
+        def server(trace, record_trace):
+            return DetectionServer(
+                spec.system,
+                policy=spec.policy,
+                service=spec.service,
+                metrics=metrics,
+                sinks=sinks,
+                query=spec.query,
+                trace=trace,
+                record_trace=record_trace,
+            )
+
+        return self._serve_cached(spec, ServeReportStore, server, use_cache)
+
+    def _serve_cached(self, spec: "Any", store_cls, make_server, use_cache: bool):
+        """The report of ``spec`` (a serve or fleet spec), cached by fingerprint.
+
+        On a miss, ``make_server(trace, record_trace)`` builds the live
+        server, which replays the stored compute trace of the spec's
+        (system, dataset, load) and records its own.  Reports share the
+        experiment cache's root: `repro cache stats/ls/prune` then manage
+        them too (content addresses don't collide).
+        """
+        from repro.serve.loadgen import generate_load
+
+        store = store_cls(self.cache.root) if self.cache is not None else None
         if store is not None and use_cache:
             cached = store.load(spec.fingerprint)
             if cached is not None:
                 self.cache.hits += 1
                 return cached
             self.cache.misses += 1
-        dataset = self.dataset(spec.dataset)
-        requests = generate_load(spec.load, dataset)
+        requests = generate_load(spec.load, self.dataset(spec.dataset))
         trace_store, trace_key, trace = self._load_trace(spec, use_cache)
-        server = DetectionServer(
-            spec.system,
-            policy=spec.policy,
-            service=spec.service,
-            metrics=metrics,
-            sinks=sinks,
-            query=spec.query,
-            trace=trace,
-            record_trace=trace_store is not None,
-        )
+        server = make_server(trace, trace_store is not None)
         report = server.run(requests)
         self._finish_trace(trace_store, trace_key, trace, server)
         if store is not None and use_cache:
@@ -348,32 +358,13 @@ class Session:
         fingerprint, and a cache hit emits nothing.
         """
         from repro.fleet.server import FleetReportStore, FleetServer
-        from repro.serve.loadgen import generate_load
 
-        store = (
-            FleetReportStore(self.cache.root) if self.cache is not None else None
-        )
-        if store is not None and use_cache:
-            cached = store.load(spec.fingerprint)
-            if cached is not None:
-                self.cache.hits += 1
-                return cached
-            self.cache.misses += 1
-        dataset = self.dataset(spec.dataset)
-        requests = generate_load(spec.load, dataset)
-        trace_store, trace_key, trace = self._load_trace(spec, use_cache)
-        server = FleetServer(
-            spec,
-            metrics=metrics,
-            sinks=sinks,
-            trace=trace,
-            record_trace=trace_store is not None,
-        )
-        report = server.run(requests)
-        self._finish_trace(trace_store, trace_key, trace, server)
-        if store is not None and use_cache:
-            store.store(spec.fingerprint, report, spec=spec.to_dict())
-        return report
+        def server(trace, record_trace):
+            return FleetServer(
+                spec, metrics=metrics, sinks=sinks, trace=trace, record_trace=record_trace
+            )
+
+        return self._serve_cached(spec, FleetReportStore, server, use_cache)
 
     def tune_fleet(
         self,

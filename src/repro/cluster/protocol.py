@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.api.cache import EntryStore
 from repro.core.config import SystemConfig, config_from_dict, config_to_dict
 from repro.core.results import SequenceResult
 from repro.datasets.types import ObjectTrack, Sequence
@@ -254,50 +254,28 @@ def result_envelope(
     }
 
 
-class SequenceResultStore:
+class SequenceResultStore(EntryStore):
     """Content-addressed store of serialized :class:`SequenceResult`\\ s.
 
     The sequence-granularity sibling of
-    :class:`~repro.api.cache.ResultCache`, sharing its two-level
-    ``<root>/<fp[:2]>/<fp>.json`` layout and atomic-write/corrupt-is-a-miss
-    semantics.  Lives under ``<cache root>/seq/`` so one shared directory
-    serves both granularities.
+    :class:`~repro.api.cache.ResultCache`, in the same layout
+    (:class:`~repro.api.cache.EntryStore`).  Lives under ``<cache
+    root>/seq/`` so one shared directory serves both granularities.
     """
-
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-
-    def path_for(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
 
     def load(self, fingerprint: str) -> Optional[SequenceResult]:
         from repro.harness.io import sequence_result_from_dict
 
-        try:
-            with open(self.path_for(fingerprint), "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            return sequence_result_from_dict(payload["result"])
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError):
-            return None
+        return self._read(fingerprint, "result", sequence_result_from_dict)
 
     def store(self, fingerprint: str, result: SequenceResult) -> Path:
         from repro.harness.io import sequence_result_to_dict
 
-        path = self.path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "format": "repro-seqresult-cache/1",
-                    "fingerprint": fingerprint,
-                    "result": sequence_result_to_dict(result),
-                },
-                fh,
-                allow_nan=True,
-            )
-        os.replace(tmp, path)
-        return path
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return self.path_for(fingerprint).exists()
+        return self._write(
+            fingerprint,
+            {
+                "format": "repro-seqresult-cache/1",
+                "fingerprint": fingerprint,
+                "result": sequence_result_to_dict(result),
+            },
+        )

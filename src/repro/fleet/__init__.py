@@ -14,17 +14,21 @@ scales it sideways without surrendering any of its guarantees:
 * :mod:`~repro.fleet.autoscaler` — the windowed, hysteretic control loop
   (scale out when queue-wait dominates the latency budget, in when batch
   occupancy collapses);
-* :mod:`~repro.fleet.server` — the fleet event loop and its cacheable
-  :class:`FleetReport`;
+* :mod:`~repro.fleet.loop` — the one serving event loop, run by the
+  fleet and, over a static pool of one replica, by the bare
+  ``DetectionServer``;
+* :mod:`~repro.fleet.server` — the fleet front over that loop and its
+  cacheable :class:`FleetReport`;
 * :mod:`~repro.fleet.tune` — the cheapest static fleet meeting an SLO.
 
 Determinism carries over verbatim: per-frame detections are keyed by
-``(model, seed, sequence, frame)``, so a 1-replica fleet is
-byte-identical to a bare ``DetectionServer`` and per-stream outputs are
-invariant under replica count and autoscaling schedule.
+``(model, seed, sequence, frame)``, so a 1-replica fleet is the bare
+``DetectionServer``'s simulation and per-stream outputs are invariant
+under replica count and autoscaling schedule.
 """
 
 from repro.fleet.autoscaler import SCALE_IN, SCALE_OUT, Autoscaler, Decision
+from repro.fleet.loop import LoopResult, ServingLoop
 from repro.fleet.replica import ACTIVE, DRAINING, RETIRED, Replica, ReplicaSet
 from repro.fleet.router import (
     PLACEMENT_POLICIES,
@@ -61,12 +65,14 @@ __all__ = [
     "FleetServer",
     "FleetSpec",
     "FleetTuneResult",
+    "LoopResult",
     "PLACEMENT_POLICIES",
     "RETIRED",
     "Replica",
     "ReplicaSet",
     "SCALE_IN",
     "SCALE_OUT",
+    "ServingLoop",
     "register_placement",
     "tune_fleet",
 ]

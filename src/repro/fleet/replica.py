@@ -1,16 +1,17 @@
 """Replica servers and their lifecycle: spawn, serve, drain, retire.
 
-A :class:`Replica` is one serving slot of the fleet — its own device
-profile, micro-batcher, frame queue and :class:`~repro.obs.registry.
-MetricsRegistry` — everything a :class:`~repro.serve.server.
-DetectionServer` owns *except* the per-stream pipeline state, which the
-:class:`~repro.fleet.server.FleetServer` keeps fleet-wide so streams can
+A :class:`Replica` is one serving slot of the event loop
+(:mod:`repro.fleet.loop`) — its own service model, micro-batcher, frame
+queue and instruments — everything a server owns *except* the
+per-stream pipeline state, which the loop keeps pool-wide so streams can
 move between replicas without losing tracker identities or query-window
-causality.
+causality.  A bare :class:`~repro.serve.server.DetectionServer` is a
+static pool of one replica.
 
-The :class:`ReplicaSet` owns the pool: it spawns replicas over the
-spec's device cycle, drains the ones the autoscaler retires (a draining
-replica finishes its in-flight batch but accepts nothing new), and
+The :class:`ReplicaSet` owns the pool: it spawns replicas over a fleet
+spec's device cycle (or the bare server's one service model), drains
+the ones the autoscaler retires (a draining replica finishes its
+in-flight batch but accepts nothing new), and
 converts the pool's history into the two numbers the tuner cares about —
 **replica-seconds** (allocated capacity over time) and **cost** (those
 seconds priced at each device's hourly rate).
@@ -18,9 +19,8 @@ seconds priced at each device's hourly rate).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
-from repro.cost import get_device
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
@@ -36,20 +36,25 @@ RETIRED = "retired"  # fully stopped; billing clock ended
 
 
 class Replica:
-    """One serving slot: a device, a queue, a batcher, and its metrics."""
+    """One serving slot: a device, a queue, a batcher, and its metrics.
+
+    ``metrics`` is the registry the replica's instruments live in; a fresh
+    private one by default (what the autoscaler windows).
+    """
 
     def __init__(
         self,
         index: int,
-        device: str,
+        service: ServiceModel,
         policy: ServePolicy,
         spawned_at: float,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.index = index
         self.name = f"r{index}"
-        self.device = device
-        self.profile = get_device(device)
-        self.service = ServiceModel.for_device(device)
+        self.service = service
+        self.device = service.device
+        self.profile = service.cost_model().profile
         self.policy = policy
         self.batcher = MicroBatcher(
             max_batch_size=policy.max_batch_size,
@@ -66,14 +71,14 @@ class Replica:
         self.batches = 0
         self.invocations = 0
         self.busy_seconds = 0.0
-        # Each replica gets its own registry — the same instruments a
-        # standalone DetectionServer exports, so per-replica dashboards
-        # and the fleet-level merge both read familiar names.  The
-        # autoscaler diffs the wait/compute/batch-size histograms
-        # between control ticks for its windowed signals.
-        self.metrics = MetricsRegistry()
+        # The same instruments whether the registry is private (a fleet
+        # replica) or the bare server's own, so per-replica dashboards and
+        # the fleet-level merge both read familiar names.  The autoscaler
+        # diffs the wait/compute/batch-size histograms between control
+        # ticks for its windowed signals.
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.m_frames = self.metrics.counter(
-            "serve_frames_total", "frames through the replica", labels=("direction",)
+            "serve_frames_total", "frames through the server", labels=("direction",)
         )
         self.m_drops = self.metrics.counter(
             "serve_drops_total", "frames dropped, by reason", labels=("reason",)
@@ -152,20 +157,40 @@ class ReplicaSet:
     Retired replicas stay in ``replicas`` (their lifetime still bills);
     only :meth:`active` members are placement candidates, and
     :meth:`serving` members (active + draining) may still dispatch.
+
+    Parameters
+    ----------
+    policy:
+        Every replica's admission/batching policy.
+    service_for:
+        ``index -> ServiceModel`` of the ``index``-th spawned replica
+        (a fleet cycles its spec's device list).
+    metrics:
+        One registry every replica records into (the bare server's);
+        ``None`` gives each replica its own.
     """
 
-    def __init__(self, spec) -> None:
-        self.spec = spec
+    def __init__(
+        self,
+        policy: ServePolicy,
+        service_for: Callable[[int], ServiceModel],
+        *,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
+        self.policy = policy
+        self.service_for = service_for
+        self.metrics = metrics
         self.replicas: List[Replica] = []
         self._next_index = 0
 
     def spawn(self, now: float) -> Replica:
-        """Bring up the next replica on the device cycle's next profile."""
+        """Bring up the next replica on the next service model."""
         replica = Replica(
             index=self._next_index,
-            device=self.spec.device_for(self._next_index),
-            policy=self.spec.policy,
+            service=self.service_for(self._next_index),
+            policy=self.policy,
             spawned_at=now,
+            metrics=self.metrics,
         )
         self._next_index += 1
         self.replicas.append(replica)

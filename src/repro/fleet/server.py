@@ -1,15 +1,12 @@
 """The fleet server: N replicas, one stream-routing layer, one clock.
 
-:class:`FleetServer` runs the same deterministic discrete-event
-simulation as :class:`~repro.serve.server.DetectionServer`, but over a
-*pool* of replicas: every replica has its own queue, micro-batcher,
-device timing model and metrics registry, while the fleet owns what must
-never fork — the per-stream pipeline state (tracker identities, scenario
--query evaluators, frame sequence numbers) and the stream-to-replica
-routing table.  Keeping stream state fleet-level is the move that makes
-elasticity safe: re-pinning a stream to another replica moves only its
-*queued* frames (in-flight batches were already computed at dispatch),
-so causality and byte-identity survive any scaling schedule.
+:class:`FleetServer` is a front over the one serving event loop
+(:mod:`repro.fleet.loop`) — the same simulation a bare
+:class:`~repro.serve.server.DetectionServer` runs with one replica —
+over a *pool* of replicas: every replica has its own queue,
+micro-batcher, device timing model and metrics registry, while the loop
+owns the per-stream pipeline state and the router owns the
+stream-to-replica pins.
 
 Determinism contract, extended to fleets: per-frame detections are keyed
 by ``(model, seed, sequence, frame)`` — never by batch, replica or
@@ -25,44 +22,30 @@ A :class:`FleetReport` is therefore a pure function of its
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence as SequenceType, Union
 
-from repro.core.results import FrameResult, FrameResultBuffer
+from repro.api.cache import EntryStore
+from repro.core.results import FrameResult
 from repro.core.systems import DetectionSystem
-from repro.core.config import build_system
-from repro.datasets.types import Sequence
-from repro.engine.stages import run_frame_batch
-from repro.fleet.autoscaler import SCALE_IN, SCALE_OUT, Autoscaler, Decision
-from repro.fleet.replica import Replica, ReplicaSet
+from repro.fleet.autoscaler import Autoscaler
+from repro.fleet.loop import ServingLoop
+from repro.fleet.replica import ReplicaSet
 from repro.fleet.router import FleetRouter
 from repro.fleet.spec import FleetSpec
-from repro.obs.registry import MetricsRegistry, resolve_registry
-from repro.obs.sinks import Sink, as_sinks
-from repro.serve.batcher import QueuedFrame
+from repro.obs.registry import MetricsRegistry
+from repro.obs.sinks import Sink
 from repro.serve.loadgen import FrameRequest
-from repro.serve.server import SHED_OLDEST, ServePolicy
-from repro.serve.slo import DEFAULT_MAX_EXACT_SAMPLES, SLOAccount
+from repro.serve.server import ServedTotals, ServePolicy, ServiceModel
+from repro.serve.slo import DEFAULT_MAX_EXACT_SAMPLES
 
 FLEET_REPORT_FORMAT = "repro-fleet-report/1"
 
-#: Histograms merged from every replica into the fleet-level registry at
-#: the end of a run, so dashboards see one fleet-wide distribution.
-_MERGED_HISTOGRAMS = (
-    "serve_queue_wait_seconds",
-    "serve_compute_seconds",
-    "serve_latency_seconds",
-    "serve_batch_size",
-)
-
 
 @dataclass
-class FleetReport:
+class FleetReport(ServedTotals):
     """What one fleet deployment cost: latency, scaling history, money.
 
     ``frame_results`` and ``wall_seconds`` follow the serve-report
@@ -105,18 +88,6 @@ class FleetReport:
         return self.cost / self.frames_served
 
     @property
-    def mean_batch_size(self) -> float:
-        return self.frames_served / self.batches if self.batches else 0.0
-
-    @property
-    def throughput_fps(self) -> float:
-        return (
-            self.frames_served / self.makespan_seconds
-            if self.makespan_seconds > 0
-            else 0.0
-        )
-
-    @property
     def utilization(self) -> float:
         """Fraction of allocated replica-time spent computing."""
         return (
@@ -128,13 +99,6 @@ class FleetReport:
     @property
     def peak_replicas(self) -> int:
         return len(self.replicas)
-
-    def query_report(self):
-        if self.query_windows is None:
-            return None
-        from repro.query.offline import QueryReport
-
-        return QueryReport.from_dict(self.query_windows)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -254,21 +218,12 @@ class FleetReport:
         return "\n".join([table] + lines)
 
 
-class _FleetStream:
-    """One stream's causal state, owned fleet-wide (never per replica)."""
-
-    __slots__ = ("pipeline", "sequence", "results", "query", "serial")
-
-    def __init__(self, pipeline, serial: int, query=None):
-        self.pipeline = pipeline
-        self.sequence: Optional[Sequence] = None
-        self.results = FrameResultBuffer()
-        self.query = query
-        self.serial = serial  # admission order; deterministic tiebreak
-
-
 class FleetServer:
     """Replicated serving of one spec over the deterministic clock.
+
+    A front over the one serving event loop (:mod:`repro.fleet.loop`):
+    it builds the spec's replica pool, router and optional autoscaler
+    per run and turns the loop's result into a :class:`FleetReport`.
 
     Parameters
     ----------
@@ -299,166 +254,22 @@ class FleetServer:
         record_trace: bool = False,
     ) -> None:
         self.spec = spec
-        self.system = system if system is not None else build_system(spec.system)
         self.policy = spec.policy
         self.query = spec.query
-        self.metrics = resolve_registry(metrics)
-        self.sinks = as_sinks(sinks)
-        self.max_exact_samples = max_exact_samples
-        self._template = self.system.build_pipeline()
-        try:
-            self._template.per_stream()
-            self._shareable = True
-        except TypeError:
-            self._shareable = False
-        self._streams: Dict[str, _FleetStream] = {}
-        # Compute/timing split (see repro.serve.trace): stream state is
-        # fleet-owned and strictly causal per stream, so the same trace
-        # a bare DetectionServer recorded replays here regardless of
-        # replica count, placement or autoscaling.
-        self._trace = trace
-        self._record_trace = bool(record_trace)
-        self._trace_runner = None
+        self._loop = ServingLoop(
+            system if system is not None else spec.system,
+            policy=spec.policy,
+            query=spec.query,
+            metrics=metrics,
+            sinks=sinks,
+            max_exact_samples=max_exact_samples,
+            trace=trace,
+            record_trace=record_trace,
+        )
+        self.system = self._loop.system
+        self.metrics = self._loop.metrics
         self.frames_replayed = 0
         self.recorded_trace = None
-
-    # ------------------------------------------------------------------ #
-    # Stream state (fleet-owned)
-    # ------------------------------------------------------------------ #
-
-    def _stream_state(self, request: FrameRequest) -> _FleetStream:
-        state = self._streams.get(request.stream)
-        if state is None:
-            pipeline = (
-                self._template.per_stream()
-                if self._shareable
-                else self.system.build_pipeline()
-            )
-            evaluator = None
-            if self.query is not None:
-                from repro.query.automaton import QueryEvaluator
-
-                evaluator = QueryEvaluator(self.query, request.stream)
-            state = self._streams[request.stream] = _FleetStream(
-                pipeline, serial=len(self._streams), query=evaluator
-            )
-        if state.sequence is not request.sequence:
-            state.pipeline.begin_sequence(request.sequence)
-            state.sequence = request.sequence
-        return state
-
-    def _measured_invocations(self) -> int:
-        return sum(getattr(d, "invocations", 0) for d in self.system._detectors())
-
-    def _execute(self, batch: List[QueuedFrame]) -> tuple:
-        if self._trace_runner is not None:
-            from repro.serve.trace import traced_execute
-
-            return traced_execute(self, batch)
-        work = []
-        states = []
-        for item in batch:
-            state = self._stream_state(item.request)
-            states.append(state)
-            work.append((state.pipeline, item.request.sequence, item.request.frame))
-        before = self._measured_invocations()
-        frame_results = run_frame_batch(work, metrics=self.metrics)
-        invocations = self._measured_invocations() - before
-        macs = sum(fr.ops.total for fr in frame_results)
-        windows = []
-        for state, fr in zip(states, frame_results):
-            state.results.append(fr)
-            if state.query is not None:
-                window = state.query.observe(fr)
-                if window is not None:
-                    windows.append(window)
-        return frame_results, invocations, macs, windows
-
-    # ------------------------------------------------------------------ #
-    # Rebalancing (the only operations that move streams)
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _queue_key(state_of):
-        def key(item: QueuedFrame):
-            return (
-                item.enqueued,
-                state_of(item.request.stream),
-                item.request.frame,
-            )
-
-        return key
-
-    def _move_stream(
-        self, stream: str, source: Replica, target: Replica, router: FleetRouter
-    ) -> None:
-        """Re-pin ``stream`` and carry its *queued* frames along.
-
-        In-flight frames stay: their results were computed at dispatch
-        time, so finishing on the old replica cannot fork stream state.
-        """
-        router.repin(stream, source, target)
-        moving = [q for q in source.queue if q.request.stream == stream]
-        if not moving:
-            return
-        source.queue = [q for q in source.queue if q.request.stream != stream]
-        target.queue.extend(moving)
-        target.queue.sort(
-            key=self._queue_key(lambda s: self._streams[s].serial if s in self._streams else -1)
-        )
-        source.m_depth.set(len(source.queue))
-        target.m_depth.set(len(target.queue))
-
-    def _rebalance_onto(
-        self, replica: Replica, pool: ReplicaSet, router: FleetRouter
-    ) -> List[str]:
-        """Give a fresh replica its fair share of existing streams.
-
-        Repeatedly takes the deepest-queued stream from the most-pinned
-        donor until ``replica`` reaches the mean share — deterministic
-        tie-breaks throughout (lowest replica index, lexicographic
-        stream name).
-        """
-        active = pool.active()
-        total = sum(r.pinned_streams for r in active)
-        target_share = total // len(active)
-        moved: List[str] = []
-        while replica.pinned_streams < target_share:
-            donors = [
-                r
-                for r in active
-                if r is not replica and r.pinned_streams > target_share
-            ]
-            if not donors:
-                break
-            donor = min(donors, key=lambda r: (-r.pinned_streams, r.index))
-            streams = router.streams_on(donor)
-            if not streams:  # pragma: no cover - pinned_streams > 0 implies some
-                break
-
-            def queued(s: str) -> int:
-                return sum(1 for q in donor.queue if q.request.stream == s)
-
-            stream = max(streams, key=queued)  # sorted() → lowest name on ties
-            self._move_stream(stream, donor, replica, router)
-            moved.append(stream)
-        return moved
-
-    def _drain_streams(
-        self, victim: Replica, pool: ReplicaSet, router: FleetRouter
-    ) -> List[str]:
-        """Re-place every stream of a draining replica over the active set."""
-        active = pool.active()
-        moved = []
-        for stream in router.streams_on(victim):
-            target = router._place(stream, active)
-            self._move_stream(stream, victim, target, router)
-            moved.append(stream)
-        return moved
-
-    # ------------------------------------------------------------------ #
-    # The event loop
-    # ------------------------------------------------------------------ #
 
     def run(self, requests: List[FrameRequest]) -> FleetReport:
         """Serve an arrival schedule to completion; returns the report.
@@ -467,22 +278,11 @@ class FleetServer:
         and the replica pool are rebuilt, so back-to-back runs of one
         schedule are identical (detector caches persist — pure values).
         """
-        self._streams = {}
-        if self._trace is not None or self._record_trace:
-            from repro.serve.trace import TraceRunner
-
-            self._trace_runner = TraceRunner(
-                self._trace, shareable=self._shareable
-            )
-        else:
-            self._trace_runner = None
         wall_start = time.perf_counter()
         spec = self.spec
-        account = SLOAccount(
-            self.policy.slo_ms / 1e3, max_exact_samples=self.max_exact_samples
+        pool = ReplicaSet(
+            spec.policy, lambda i: ServiceModel.for_device(spec.device_for(i))
         )
-        router = FleetRouter(spec.placement)
-        pool = ReplicaSet(spec)
         for _ in range(spec.replicas):
             pool.spawn(0.0)
         autoscaler = (
@@ -490,248 +290,38 @@ class FleetServer:
             if spec.autoscaler is not None
             else None
         )
-        arrivals = deque(requests)
-        now = 0.0
-        batches = 0
-        invocations = 0
-        compute_seconds = 0.0
-        last_completion = 0.0
-        query_events = 0
-        scale_events: List[Dict[str, Any]] = []
-
-        m_fleet_frames = self.metrics.counter(
-            "fleet_frames_total", "frames through the fleet", labels=("direction",)
-        )
-        m_fleet_drops = self.metrics.counter(
-            "fleet_drops_total", "fleet frames dropped, by reason", labels=("reason",)
-        )
-        m_fleet_batches = self.metrics.counter(
-            "fleet_batches_total", "batches dispatched fleet-wide"
-        )
-        m_fleet_invocations = self.metrics.counter(
-            "fleet_invocations_total", "batched invocations fleet-wide"
-        )
-        m_replicas = self.metrics.gauge(
-            "fleet_replicas", "live (active) replica count"
-        )
-        m_scale = self.metrics.counter(
-            "fleet_scale_events_total", "autoscaler actions", labels=("action",)
-        )
-        m_query = (
-            self.metrics.counter(
-                "serve_query_events_total",
-                "frames-of-interest windows emitted by the scenario query",
-                labels=("stream",),
-            )
-            if self.query is not None
-            else None
-        )
-        m_replicas.set(len(pool.active()))
-
-        def shed(request: FrameRequest, replica: Replica, reason: str) -> None:
-            account.record_shed(request.stream, reason)
-            replica.m_drops.inc(labels=(reason,))
-            m_fleet_drops.inc(labels=(reason,))
-
-        def admit(request: FrameRequest) -> None:
-            self._stream_state(request)  # assigns the stream's serial
-            replica = router.route(request.stream, pool.active())
-            m_fleet_frames.inc(labels=("in",))
-            replica.m_frames.inc(labels=("in",))
-            if len(replica.queue) >= self.policy.queue_capacity:
-                if self.policy.shed_policy == SHED_OLDEST:
-                    victim = replica.queue.pop(0)
-                    shed(victim.request, replica, "shed_oldest")
-                else:
-                    shed(request, replica, "reject_newest")
-                    return
-            replica.queue.append(
-                QueuedFrame(request=request, enqueued=request.arrival)
-            )
-            replica.m_depth.set(len(replica.queue))
-
-        def dispatch(replica: Replica) -> Optional[float]:
-            """Try to dispatch one batch; returns a wake deadline if not."""
-            nonlocal batches, invocations, compute_seconds
-            nonlocal last_completion, query_events
-            ready = replica.batcher.ready(replica.queue)
-            batch, wake = replica.batcher.decide(
-                now, ready, more_arrivals=bool(arrivals)
-            )
-            if batch is None:
-                return wake
-            for item in batch:
-                replica.queue.remove(item)
-            replica.m_depth.set(len(replica.queue))
-            _, batch_inv, macs, qwindows = self._execute(batch)
-            for window in qwindows:
-                query_events += 1
-                m_query.inc(labels=(window.stream,))
-                for sink in self.sinks:
-                    sink.emit(
-                        {
-                            "record": "query.window",
-                            "query": self.query.name,
-                            "stream": window.stream,
-                            "replica": replica.name,
-                            "start": window.start,
-                            "end": window.end,
-                            "phases": list(window.phases),
-                        }
-                    )
-            service = replica.service.batch_seconds(batch_inv, macs, len(batch))
-            completion = now + service
-            replica.busy_until = completion
-            replica.batches += 1
-            replica.invocations += batch_inv
-            replica.busy_seconds += service
-            replica.frames += len(batch)
-            batches += 1
-            invocations += batch_inv
-            compute_seconds += service
-            last_completion = max(last_completion, completion)
-            replica.m_batches.inc()
-            replica.m_invocations.inc(batch_inv)
-            replica.m_batch_size.observe(len(batch))
-            replica.m_compute.observe(service)
-            m_fleet_batches.inc()
-            m_fleet_invocations.inc(batch_inv)
-            for item in batch:
-                wait = now - item.request.arrival
-                latency = completion - item.request.arrival
-                account.record(
-                    item.request.stream, wait=wait, compute=service, latency=latency
-                )
-                replica.m_frames.inc(labels=("out",))
-                replica.m_wait.observe(wait)
-                replica.m_latency.observe(latency)
-                m_fleet_frames.inc(labels=("out",))
-            return None
-
-        def apply(decision: Decision) -> None:
-            if decision.action == SCALE_OUT:
-                replica = pool.spawn(now)
-                moved = self._rebalance_onto(replica, pool, router)
-                subject = replica
-            else:
-                active = pool.active()
-                subject = max(active, key=lambda r: (r.cost_per_second, r.index))
-                pool.drain(subject)
-                moved = self._drain_streams(subject, pool, router)
-            m_scale.inc(labels=(decision.action,))
-            m_replicas.set(len(pool.active()))
-            event = {
-                "t": now,
-                "action": decision.action,
-                "replica": subject.name,
-                "device": subject.device,
-                "reason": decision.reason,
-                "moved_streams": moved,
-            }
-            scale_events.append(event)
-            for sink in self.sinks:
-                sink.emit(dict(event, record="fleet.scale"))
-
-        def pending() -> bool:
-            return bool(arrivals) or any(
-                r.queue or not r.idle for r in pool.serving()
-            )
-
-        while pending():
-            while arrivals and arrivals[0].arrival <= now:
-                admit(arrivals.popleft())
-            for replica in pool.serving():
-                if replica.busy_until is not None and replica.busy_until <= now:
-                    replica.busy_until = None
-            pool.retire_idle(now)
-            wakes: List[float] = []
-            for replica in sorted(pool.serving(), key=lambda r: r.index):
-                if replica.idle and replica.queue:
-                    wake = dispatch(replica)
-                    if wake is not None:
-                        wakes.append(wake)
-            if autoscaler is not None and now >= autoscaler.next_check:
-                decision = autoscaler.tick(now, pool.serving())
-                if decision is not None:
-                    apply(decision)
-                    # A drain may have handed queued frames to an idle
-                    # replica; let it dispatch at this same instant.
-                    wakes = []
-                    for replica in sorted(pool.serving(), key=lambda r: r.index):
-                        if replica.idle and replica.queue:
-                            wake = dispatch(replica)
-                            if wake is not None:
-                                wakes.append(wake)
-                    pool.retire_idle(now)
-            if not pending():
-                break
-            candidates: List[float] = list(wakes)
-            if arrivals:
-                candidates.append(arrivals[0].arrival)
-            for replica in pool.serving():
-                if replica.busy_until is not None:
-                    candidates.append(replica.busy_until)
-            if autoscaler is not None:
-                candidates.append(autoscaler.next_check)
-            now = max(now, min(candidates))
-
-        pool.retire_idle(now)
-        makespan = last_completion
-
-        # Fold every replica's latency histograms into the fleet registry
-        # so dashboards and `repro status` see one fleet-wide view.
-        for name in _MERGED_HISTOGRAMS:
-            for replica in pool.replicas:
-                source = replica.metrics.get(name)
-                if source is None or not source.labels_seen():
-                    continue
-                merged = self.metrics.histogram(
-                    name, source.help, buckets=source.bounds
-                )
-                merged.merge(source)
-
-        fleet = account.fleet()
-        query_windows = None
-        if self.query is not None:
-            from repro.query.offline import QueryReport
-
-            by_stream = {
-                stream: state.query.finish()
-                for stream, state in self._streams.items()
-                if state.query is not None
-            }
-            query_windows = QueryReport.build(self.query, by_stream).to_dict()
-        if self._trace_runner is not None:
-            self.frames_replayed = self._trace_runner.frames_replayed
-            self.recorded_trace = self._trace_runner.out_trace()
-        offered_streams = sorted({r.stream for r in requests})
-        slo = account.to_dict()
+        loop = self._loop
+        result = loop.run(requests, pool, FleetRouter(spec.placement), autoscaler)
+        self.frames_replayed = loop.frames_replayed
+        self.recorded_trace = loop.recorded_trace
+        makespan = result.makespan_seconds
+        fleet = result.account.fleet()
+        slo = result.account.to_dict()
         served_by = {
             name: stats.get("served", 0)
             for name, stats in slo.get("streams", {}).items()
         }
-        dead_streams = [s for s in offered_streams if not served_by.get(s)]
-        summary_record = {
-            "record": "fleet.summary",
-            "frames_offered": len(requests),
-            "frames_served": fleet.served,
-            "frames_shed": fleet.shed,
-            "batches": batches,
-            "invocations": invocations,
-            "makespan_seconds": makespan,
-            "replica_seconds": pool.replica_seconds(makespan),
-            "cost": pool.cost(makespan),
-            "peak_replicas": len(pool.replicas),
-            "scale_events": len(scale_events),
-            "dead_streams": len(dead_streams),
-            "p99_ms": fleet.percentile(99.0) * 1e3,
-        }
-        if self.query is not None:
-            summary_record["query"] = self.query.name
-            summary_record["query_events"] = query_events
-        for sink in self.sinks:
-            sink.emit(summary_record)
-            sink.flush()
+        dead_streams = [
+            s for s in sorted({r.stream for r in requests}) if not served_by.get(s)
+        ]
+        loop.emit_summary(
+            {
+                "record": "fleet.summary",
+                "frames_offered": len(requests),
+                "frames_served": fleet.served,
+                "frames_shed": fleet.shed,
+                "batches": result.batches,
+                "invocations": result.invocations,
+                "makespan_seconds": makespan,
+                "replica_seconds": pool.replica_seconds(makespan),
+                "cost": pool.cost(makespan),
+                "peak_replicas": len(pool.replicas),
+                "scale_events": len(result.scale_events),
+                "dead_streams": len(dead_streams),
+                "p99_ms": fleet.percentile(99.0) * 1e3,
+            },
+            result,
+        )
         return FleetReport(
             policy=self.policy,
             devices=list(spec.devices),
@@ -742,47 +332,30 @@ class FleetServer:
             frames_offered=len(requests),
             frames_served=fleet.served,
             frames_shed=fleet.shed,
-            batches=batches,
-            invocations=invocations,
+            batches=result.batches,
+            invocations=result.invocations,
             makespan_seconds=makespan,
-            compute_seconds=compute_seconds,
+            compute_seconds=result.compute_seconds,
             replica_seconds=pool.replica_seconds(makespan),
             cost=pool.cost(makespan),
             slo=slo,
             replicas=[r.to_dict(makespan) for r in pool.replicas],
-            scale_events=scale_events,
+            scale_events=result.scale_events,
             dead_streams=dead_streams,
-            query_windows=query_windows,
-            frame_results={
-                stream: state.results
-                for stream, state in sorted(self._streams.items())
-            },
+            query_windows=result.query_windows,
+            frame_results=result.frame_results,
             wall_seconds=time.perf_counter() - wall_start,
         )
 
 
-class FleetReportStore:
-    """Content-addressed store of serialized :class:`FleetReport`\\ s.
-
-    Same two-level layout, atomic writes and corrupt-entry-is-a-miss
-    semantics as :class:`~repro.serve.server.ServeReportStore`, sharing
-    the session cache root so ``repro cache stats/ls/prune`` manage
-    fleet reports alongside everything else.
+class FleetReportStore(EntryStore):
+    """Content-addressed store of serialized :class:`FleetReport`\\ s,
+    sharing the session cache root and layout
+    (:class:`~repro.api.cache.EntryStore`) with every other store.
     """
 
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-
-    def path_for(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
-
     def load(self, fingerprint: str) -> Optional[FleetReport]:
-        try:
-            with open(self.path_for(fingerprint), "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            return FleetReport.from_dict(payload["report"])
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError):
-            return None
+        return self._read(fingerprint, "report", FleetReport.from_dict)
 
     def store(
         self,
@@ -791,22 +364,12 @@ class FleetReportStore:
         *,
         spec: Optional[Dict[str, Any]] = None,
     ) -> Path:
-        path = self.path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "format": "repro-fleet-cache/1",
-                    "fingerprint": fingerprint,
-                    "spec": spec,
-                    "report": report.to_dict(),
-                },
-                fh,
-                allow_nan=True,
-            )
-        os.replace(tmp, path)
-        return path
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return self.path_for(fingerprint).exists()
+        return self._write(
+            fingerprint,
+            {
+                "format": "repro-fleet-cache/1",
+                "fingerprint": fingerprint,
+                "spec": spec,
+                "report": report.to_dict(),
+            },
+        )

@@ -6,7 +6,9 @@ many concurrent camera streams through one shared engine, coalescing
 their detector calls into cross-stream micro-batches
 (:mod:`repro.serve.batcher`), accounting every frame's queue-wait /
 compute / end-to-end latency against an SLO (:mod:`repro.serve.slo`),
-and shedding load when the bounded admission queue overflows.  An
+and shedding load when the bounded admission queue overflows.  It runs
+the same event loop as a fleet (:mod:`repro.fleet.loop`) over a static
+pool of one replica.  An
 open-loop load generator (:mod:`repro.serve.loadgen`) drives it from
 registered dataset sequences with Poisson, uniform or trace-replay
 arrivals.

@@ -1,10 +1,13 @@
 """The detection server: one shared engine, many concurrent streams.
 
-:class:`DetectionServer` owns per-stream causal pipeline state (one
-tracker per stream, detectors shared across all of them), a bounded
-admission queue with a shedding policy, and a
-:class:`~repro.serve.batcher.MicroBatcher` that coalesces the streams'
-detector calls into cross-stream batched invocations.
+:class:`DetectionServer` serves many concurrent camera streams through
+one shared engine: per-stream causal pipeline state (one tracker per
+stream, detectors shared across all of them), a bounded admission queue
+with a shedding policy, and a :class:`~repro.serve.batcher.MicroBatcher`
+that coalesces the streams' detector calls into cross-stream batched
+invocations.  It is a static one-replica front over the same event loop
+that runs fleets (:mod:`repro.fleet.loop`), so a 1-replica fleet and the
+bare server are one simulation.
 
 Execution is a deterministic discrete-event simulation.  Wall time on
 the host measures *this machine's Python*, not the modeled accelerator;
@@ -24,30 +27,20 @@ sample by ``(model, seed, sequence, frame)``, never by batch.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence as SequenceType, Union
 
+from repro.api.cache import EntryStore
 from repro.api.spec import _known_fields
-from repro.core.config import SystemConfig, build_system
-from repro.core.results import FrameResult, FrameResultBuffer
+from repro.core.config import SystemConfig
+from repro.core.results import FrameResult
 from repro.core.systems import DetectionSystem
-from repro.datasets.types import Sequence
-from repro.engine.stages import StagePipeline, run_frame_batch
-from repro.obs.registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    DEFAULT_SIZE_BUCKETS,
-    MetricsRegistry,
-    resolve_registry,
-)
-from repro.obs.sinks import Sink, as_sinks
-from repro.serve.batcher import MicroBatcher, QueuedFrame
+from repro.obs.registry import MetricsRegistry
+from repro.obs.sinks import Sink
 from repro.serve.loadgen import FrameRequest
-from repro.serve.slo import DEFAULT_MAX_EXACT_SAMPLES, SLOAccount
+from repro.serve.slo import DEFAULT_MAX_EXACT_SAMPLES
 
 # Format 2 added shed-reason splits, queue-wait/compute percentiles and
 # fleet histograms to the SLO section; format 3 added the scenario-query
@@ -239,8 +232,40 @@ class ServiceModel:
         return cls(**_known_fields(cls, data))
 
 
+class ServedTotals:
+    """Statistics derived the same way for every served report.
+
+    Mixed into :class:`ServeReport` and
+    :class:`~repro.fleet.server.FleetReport`, which both carry
+    ``frames_served``, ``batches``, ``makespan_seconds`` and
+    ``query_windows``.
+    """
+
+    def query_report(self):
+        """The scenario-query :class:`~repro.query.offline.QueryReport`
+        (``None`` when the deployment had no query)."""
+        if self.query_windows is None:
+            return None
+        from repro.query.offline import QueryReport
+
+        return QueryReport.from_dict(self.query_windows)
+
+    @property
+    def mean_batch_size(self) -> float:
+        return self.frames_served / self.batches if self.batches else 0.0
+
+    @property
+    def throughput_fps(self) -> float:
+        """Aggregate served frames per second of simulated time."""
+        return (
+            self.frames_served / self.makespan_seconds
+            if self.makespan_seconds > 0
+            else 0.0
+        )
+
+
 @dataclass
-class ServeReport:
+class ServeReport(ServedTotals):
     """What one served load cost: throughput, latency, SLO accounting.
 
     ``frame_results`` (per-stream :class:`FrameResult` lists, dispatch
@@ -269,28 +294,6 @@ class ServeReport:
     query_windows: Optional[Dict[str, Any]] = None
     frame_results: Optional[Dict[str, SequenceType[FrameResult]]] = None
     wall_seconds: float = 0.0
-
-    def query_report(self):
-        """The scenario-query :class:`~repro.query.offline.QueryReport`
-        (``None`` when the deployment had no query)."""
-        if self.query_windows is None:
-            return None
-        from repro.query.offline import QueryReport
-
-        return QueryReport.from_dict(self.query_windows)
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.frames_served / self.batches if self.batches else 0.0
-
-    @property
-    def throughput_fps(self) -> float:
-        """Aggregate served frames per second of simulated time."""
-        return (
-            self.frames_served / self.makespan_seconds
-            if self.makespan_seconds > 0
-            else 0.0
-        )
 
     @property
     def utilization(self) -> float:
@@ -396,21 +399,13 @@ class ServeReport:
         return f"{table}\n{summary}"
 
 
-class _StreamState:
-    """One stream's causal serving state."""
-
-    __slots__ = ("pipeline", "sequence", "results", "query")
-
-    def __init__(self, pipeline: StagePipeline, query=None):
-        self.pipeline = pipeline
-        self.sequence: Optional[Sequence] = None
-        self.results = FrameResultBuffer()
-        # Per-stream scenario-query evaluator, cloned like the tracker.
-        self.query = query
-
-
 class DetectionServer:
     """Micro-batched multi-stream serving over one shared engine.
+
+    A static one-replica front over the serving event loop
+    (:class:`~repro.fleet.loop.ServingLoop`): the replica records into
+    this server's registry and is charged by this server's service
+    model, and the loop's result becomes a :class:`ServeReport`.
 
     Parameters
     ----------
@@ -449,6 +444,9 @@ class DetectionServer:
         through the sinks (``query.window`` records), the
         ``serve_query_events_total`` counter, and the report's
         ``query_windows`` section.
+    trace / record_trace:
+        A recorded :class:`~repro.serve.trace.ComputeTrace` to replay,
+        and whether to record this run's own (``recorded_trace``).
     """
 
     def __init__(
@@ -465,6 +463,8 @@ class DetectionServer:
         trace=None,
         record_trace: bool = False,
     ):
+        from repro.fleet.loop import ServingLoop
+
         if service is None:
             service = ServiceModel.for_device(device or "abstract")
         elif device is not None and device != service.device:
@@ -473,102 +473,24 @@ class DetectionServer:
                 f"device={device!r}; pass one or the other "
                 f"(use ServiceModel.for_device({device!r}))"
             )
-        self.system = build_system(system) if isinstance(system, SystemConfig) else system
         self.policy = policy
         self.service = service
-        if query is not None:
-            from repro.query.spec import QuerySpec
-
-            if not isinstance(query, QuerySpec):
-                raise TypeError(
-                    f"query must be a QuerySpec, got {type(query).__name__}"
-                )
-        self.query = query
-        self.metrics = resolve_registry(metrics)
-        self.sinks = as_sinks(sinks)
-        self.max_exact_samples = max_exact_samples
-        self.batcher = MicroBatcher(
-            max_batch_size=policy.max_batch_size,
-            max_wait=policy.max_wait_ms / 1e3,
+        self._loop = ServingLoop(
+            system,
+            policy=policy,
+            query=query,
+            metrics=metrics,
+            sinks=sinks,
+            max_exact_samples=max_exact_samples,
+            trace=trace,
+            record_trace=record_trace,
+            fleet_wide=False,
         )
-        self._template = self.system.build_pipeline()
-        try:
-            self._template.per_stream()
-            self._shareable = True
-        except TypeError:
-            # Duck-typed stages predating the per_stream protocol: build
-            # fully independent pipelines per stream (no cross-stream
-            # stage sharing, hence no coalescing for this system kind).
-            self._shareable = False
-        self._streams: Dict[str, _StreamState] = {}
-        # Compute/timing split (see repro.serve.trace): an optional
-        # recorded ComputeTrace to replay, and whether to record this
-        # run's own outgoing trace.  Both off by default — the live path
-        # is untouched unless a Session wires a trace store in.
-        self._trace = trace
-        self._record_trace = bool(record_trace)
-        self._trace_runner = None
+        self.system = self._loop.system
+        self.query = query
+        self.metrics = self._loop.metrics
         self.frames_replayed = 0
         self.recorded_trace = None
-
-    # ------------------------------------------------------------------ #
-
-    def _stream_state(self, request: FrameRequest) -> _StreamState:
-        state = self._streams.get(request.stream)
-        if state is None:
-            pipeline = (
-                self._template.per_stream()
-                if self._shareable
-                else self.system.build_pipeline()
-            )
-            evaluator = None
-            if self.query is not None:
-                from repro.query.automaton import QueryEvaluator
-
-                evaluator = QueryEvaluator(self.query, request.stream)
-            state = self._streams[request.stream] = _StreamState(pipeline, evaluator)
-        if state.sequence is not request.sequence:
-            state.pipeline.begin_sequence(request.sequence)
-            state.sequence = request.sequence
-        return state
-
-    def _measured_invocations(self) -> int:
-        return sum(
-            getattr(d, "invocations", 0) for d in self.system._detectors()
-        )
-
-    def _execute(self, batch: List[QueuedFrame]) -> tuple:
-        """Run one batch through the engine.
-
-        Returns ``(results, invocations, macs, windows)`` — the last
-        being the frames-of-interest windows the streams' query
-        evaluators completed on this batch's frames (empty without a
-        query).
-        """
-        if self._trace_runner is not None:
-            from repro.serve.trace import traced_execute
-
-            return traced_execute(self, batch)
-        work = []
-        states = []
-        for item in batch:
-            state = self._stream_state(item.request)
-            states.append(state)
-            work.append((state.pipeline, item.request.sequence, item.request.frame))
-        before = self._measured_invocations()
-        frame_results = run_frame_batch(work, metrics=self.metrics)
-        invocations = self._measured_invocations() - before
-        macs = sum(fr.ops.total for fr in frame_results)
-        windows = []
-        for state, fr in zip(states, frame_results):
-            state.results.append(fr)
-            if state.query is not None:
-                window = state.query.observe(fr)
-                if window is not None:
-                    windows.append(window)
-        return frame_results, invocations, macs, windows
-
-    # ------------------------------------------------------------------ #
 
     def run(self, requests: List[FrameRequest]) -> ServeReport:
         """Serve an arrival schedule to completion; returns the report.
@@ -580,245 +502,59 @@ class DetectionServer:
         reports and never mutate previously returned ones.  (Detector
         caches persist across runs — they are deterministic pure values.)
         """
-        # Fresh per-stream pipelines and result lists per run: stale
-        # tracker state would make a repeat run diverge, and the report
-        # returned below aliases the per-stream result lists.
-        self._streams = {}
-        if self._trace is not None or self._record_trace:
-            from repro.serve.trace import TraceRunner
+        from repro.fleet.replica import ReplicaSet
+        from repro.fleet.router import FleetRouter
 
-            self._trace_runner = TraceRunner(
-                self._trace, shareable=self._shareable
-            )
-        else:
-            self._trace_runner = None
         wall_start = time.perf_counter()
-        account = SLOAccount(
-            self.policy.slo_ms / 1e3, max_exact_samples=self.max_exact_samples
+        pool = ReplicaSet(self.policy, lambda _: self.service, metrics=self.metrics)
+        pool.spawn(0.0)
+        loop = self._loop
+        result = loop.run(requests, pool, FleetRouter())
+        self.frames_replayed = loop.frames_replayed
+        self.recorded_trace = loop.recorded_trace
+        fleet = result.account.fleet()
+        loop.emit_summary(
+            {
+                "record": "serve.summary",
+                "frames_offered": len(requests),
+                "frames_served": fleet.served,
+                "frames_shed": fleet.shed,
+                "shed_reasons": dict(sorted(fleet.shed_reasons.items())),
+                "batches": result.batches,
+                "invocations": result.invocations,
+                "makespan_seconds": result.makespan_seconds,
+                "p99_ms": fleet.percentile(99.0) * 1e3,
+            },
+            result,
         )
-        arrivals = deque(requests)
-        queue: List[QueuedFrame] = []
-        now = 0.0
-        batches = 0
-        invocations = 0
-        compute_seconds = 0.0
-        last_completion = 0.0
-
-        # Live-registry handles, resolved once per run (get-or-create).
-        m_frames = self.metrics.counter(
-            "serve_frames_total", "frames through the server", labels=("direction",)
-        )
-        m_drops = self.metrics.counter(
-            "serve_drops_total", "frames dropped, by reason", labels=("reason",)
-        )
-        m_batches = self.metrics.counter("serve_batches_total", "dispatched batches")
-        m_invocations = self.metrics.counter(
-            "serve_invocations_total", "batched detector invocations"
-        )
-        m_wait = self.metrics.histogram(
-            "serve_queue_wait_seconds", "arrival to dispatch",
-            buckets=DEFAULT_LATENCY_BUCKETS,
-        )
-        m_compute = self.metrics.histogram(
-            "serve_compute_seconds", "modeled batch service time",
-            buckets=DEFAULT_LATENCY_BUCKETS,
-        )
-        m_latency = self.metrics.histogram(
-            "serve_latency_seconds", "arrival to completion",
-            buckets=DEFAULT_LATENCY_BUCKETS,
-        )
-        m_batch_size = self.metrics.histogram(
-            "serve_batch_size", "frames per dispatched batch",
-            buckets=DEFAULT_SIZE_BUCKETS,
-        )
-        m_depth = self.metrics.gauge(
-            "serve_queue_depth", "admitted frames awaiting dispatch"
-        )
-        m_query = (
-            self.metrics.counter(
-                "serve_query_events_total",
-                "frames-of-interest windows emitted by the scenario query",
-                labels=("stream",),
-            )
-            if self.query is not None
-            else None
-        )
-        query_events = 0
-
-        def shed(request: FrameRequest, reason: str) -> None:
-            account.record_shed(request.stream, reason)
-            m_drops.inc(labels=(reason,))
-            for sink in self.sinks:
-                sink.emit(
-                    {
-                        "record": "serve.shed",
-                        "stream": request.stream,
-                        "frame": request.frame,
-                        "reason": reason,
-                        "arrival_s": request.arrival,
-                    }
-                )
-
-        def admit(request: FrameRequest) -> None:
-            # A frame is batchable from the moment it arrives, so its
-            # coalescing deadline counts from the arrival timestamp.
-            m_frames.inc(labels=("in",))
-            if len(queue) >= self.policy.queue_capacity:
-                if self.policy.shed_policy == SHED_OLDEST:
-                    victim = queue.pop(0)
-                    shed(victim.request, "shed_oldest")
-                else:
-                    shed(request, "reject_newest")
-                    return
-            queue.append(QueuedFrame(request=request, enqueued=request.arrival))
-            m_depth.set(len(queue))
-
-        while arrivals or queue:
-            # Fold in everything that has arrived by the current time.
-            while arrivals and arrivals[0].arrival <= now:
-                admit(arrivals.popleft())
-            if not queue:
-                # Idle: jump to the next arrival.
-                now = max(now, arrivals[0].arrival)
-                admit(arrivals.popleft())
-                continue
-            ready = self.batcher.ready(queue)
-            batch, wake = self.batcher.decide(
-                now, ready, more_arrivals=bool(arrivals)
-            )
-            if batch is None:
-                # Keep coalescing until the deadline or the next arrival.
-                now = min(wake, arrivals[0].arrival) if arrivals else wake
-                continue
-            for item in batch:
-                queue.remove(item)
-            m_depth.set(len(queue))
-            _, batch_inv, macs, qwindows = self._execute(batch)
-            for window in qwindows:
-                query_events += 1
-                m_query.inc(labels=(window.stream,))
-                for sink in self.sinks:
-                    sink.emit(
-                        {
-                            "record": "query.window",
-                            "query": self.query.name,
-                            "stream": window.stream,
-                            "start": window.start,
-                            "end": window.end,
-                            "phases": list(window.phases),
-                        }
-                    )
-            service = self.service.batch_seconds(batch_inv, macs, len(batch))
-            completion = now + service
-            batches += 1
-            invocations += batch_inv
-            compute_seconds += service
-            last_completion = completion
-            m_batches.inc()
-            m_invocations.inc(batch_inv)
-            m_batch_size.observe(len(batch))
-            m_compute.observe(service)
-            for item in batch:
-                wait = now - item.request.arrival
-                latency = completion - item.request.arrival
-                account.record(
-                    item.request.stream, wait=wait, compute=service, latency=latency
-                )
-                m_frames.inc(labels=("out",))
-                m_wait.observe(wait)
-                m_latency.observe(latency)
-                for sink in self.sinks:
-                    sink.emit(
-                        {
-                            "record": "serve.frame",
-                            "stream": item.request.stream,
-                            "frame": item.request.frame,
-                            "wait_ms": wait * 1e3,
-                            "compute_ms": service * 1e3,
-                            "latency_ms": latency * 1e3,
-                        }
-                    )
-            # The engine is busy until `completion`: arrivals during the
-            # batch just queue up (and may be shed) before the next
-            # dispatch decision at `completion`.
-            while arrivals and arrivals[0].arrival <= completion:
-                admit(arrivals.popleft())
-            now = completion
-
-        if self._trace_runner is not None:
-            self.frames_replayed = self._trace_runner.frames_replayed
-            self.recorded_trace = self._trace_runner.out_trace()
-        fleet = account.fleet()
-        query_windows = None
-        if self.query is not None:
-            from repro.query.offline import QueryReport
-
-            by_stream = {
-                stream: state.query.finish()
-                for stream, state in self._streams.items()
-                if state.query is not None
-            }
-            query_windows = QueryReport.build(self.query, by_stream).to_dict()
-        summary_record = {
-            "record": "serve.summary",
-            "frames_offered": len(requests),
-            "frames_served": fleet.served,
-            "frames_shed": fleet.shed,
-            "shed_reasons": dict(sorted(fleet.shed_reasons.items())),
-            "batches": batches,
-            "invocations": invocations,
-            "makespan_seconds": last_completion,
-            "p99_ms": fleet.percentile(99.0) * 1e3,
-        }
-        if self.query is not None:
-            summary_record["query"] = self.query.name
-            summary_record["query_events"] = query_events
-        for sink in self.sinks:
-            sink.emit(summary_record)
-            sink.flush()
         return ServeReport(
             policy=self.policy,
             service=self.service,
             frames_offered=len(requests),
             frames_served=fleet.served,
             frames_shed=fleet.shed,
-            batches=batches,
-            invocations=invocations,
-            makespan_seconds=last_completion,
-            compute_seconds=compute_seconds,
-            slo=account.to_dict(),
-            query_windows=query_windows,
-            frame_results={
-                stream: state.results for stream, state in sorted(self._streams.items())
-            },
+            batches=result.batches,
+            invocations=result.invocations,
+            makespan_seconds=result.makespan_seconds,
+            compute_seconds=result.compute_seconds,
+            slo=result.account.to_dict(),
+            query_windows=result.query_windows,
+            frame_results=result.frame_results,
             wall_seconds=time.perf_counter() - wall_start,
         )
 
 
-class ServeReportStore:
+class ServeReportStore(EntryStore):
     """Content-addressed store of serialized :class:`ServeReport`\\ s.
 
-    The serving sibling of :class:`~repro.api.cache.ResultCache`, sharing
-    its two-level ``<root>/<fp[:2]>/<fp>.json`` layout and atomic-write /
-    corrupt-entry-is-a-miss semantics — in the *same* root, so ``repro
-    cache stats/ls/prune`` manage serving reports alongside experiment
-    results (fingerprints are sha256 content addresses; the two entry
-    kinds cannot collide).
+    The serving sibling of :class:`~repro.api.cache.ResultCache`, in the
+    *same* root and layout (:class:`~repro.api.cache.EntryStore`), so
+    ``repro cache stats/ls/prune`` manage serving reports alongside
+    experiment results.
     """
 
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-
-    def path_for(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
-
     def load(self, fingerprint: str) -> Optional[ServeReport]:
-        try:
-            with open(self.path_for(fingerprint), "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            return ServeReport.from_dict(payload["report"])
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError):
-            return None
+        return self._read(fingerprint, "report", ServeReport.from_dict)
 
     def store(
         self,
@@ -827,22 +563,12 @@ class ServeReportStore:
         *,
         spec: Optional[Dict[str, Any]] = None,
     ) -> Path:
-        path = self.path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "format": "repro-serve-cache/1",
-                    "fingerprint": fingerprint,
-                    "spec": spec,
-                    "report": report.to_dict(),
-                },
-                fh,
-                allow_nan=True,
-            )
-        os.replace(tmp, path)
-        return path
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return self.path_for(fingerprint).exists()
+        return self._write(
+            fingerprint,
+            {
+                "format": "repro-serve-cache/1",
+                "fingerprint": fingerprint,
+                "spec": spec,
+                "report": report.to_dict(),
+            },
+        )

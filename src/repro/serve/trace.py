@@ -21,8 +21,8 @@ deployment shares a single trace, and serve and fleet runs share it
 too.
 
 :class:`TraceRunner` + :func:`traced_execute` implement the replay fast
-path used by both :class:`~repro.serve.server.DetectionServer` and
-:class:`~repro.fleet.server.FleetServer`: while a stream's admitted
+path of the one serving event loop (:class:`~repro.fleet.loop.
+ServingLoop`, behind both servers): while a stream's admitted
 subsequence matches the trace prefix, engine stages are skipped and the
 recorded outputs and cost terms are fed through the batcher/SLO/metrics
 machinery unchanged; on first divergence (a shed frame changed tracker
@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
+from repro.api.cache import EntryStore
 from repro.core.config import config_to_dict
 from repro.core.results import FrameResult
 from repro.engine.stages import run_frame_batch
@@ -158,50 +158,29 @@ class ComputeTrace:
         )
 
 
-class TraceStore:
+class TraceStore(EntryStore):
     """Content-addressed on-disk store of :class:`ComputeTrace`\\ s.
 
-    Shares the result cache's ``<root>/<fp[:2]>/<fp>.json`` layout and
-    atomic-write / corrupt-entry-is-a-miss semantics, in the same root —
-    sweep workers sharing a cache directory can therefore share traces
-    without coordination (a concurrent overwrite at worst loses a few
-    replayable frames until the next long run re-records them; it never
-    corrupts an entry or changes any report).
+    Shares the result cache's root and layout
+    (:class:`~repro.api.cache.EntryStore`) — sweep workers sharing a
+    cache directory can therefore share traces without coordination (a
+    concurrent overwrite at worst loses a few replayable frames until
+    the next long run re-records them; it never corrupts an entry or
+    changes any report).
     """
 
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-
-    def path_for(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
-
     def load(self, fingerprint: str) -> Optional[ComputeTrace]:
-        try:
-            with open(self.path_for(fingerprint), "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            return ComputeTrace.from_dict(payload["trace"])
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError):
-            return None
+        return self._read(fingerprint, "trace", ComputeTrace.from_dict)
 
     def store(self, fingerprint: str, trace: ComputeTrace) -> Path:
-        path = self.path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "format": "repro-trace-cache/1",
-                    "fingerprint": fingerprint,
-                    "trace": trace.to_dict(),
-                },
-                fh,
-                allow_nan=True,
-            )
-        os.replace(tmp, path)
-        return path
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return self.path_for(fingerprint).exists()
+        return self._write(
+            fingerprint,
+            {
+                "format": "repro-trace-cache/1",
+                "fingerprint": fingerprint,
+                "trace": trace.to_dict(),
+            },
+        )
 
 
 class _Cursor:
@@ -216,7 +195,7 @@ class _Cursor:
 
 
 class TraceRunner:
-    """Per-run replay/record driver shared by the serve and fleet servers.
+    """Per-run replay/record driver of the serving loop.
 
     Holds one cursor per stream over the stored trace (if any) and
     accumulates the run's own outgoing trace — the replayed prefix plus
@@ -274,8 +253,8 @@ class TraceRunner:
         return ComputeTrace(dict(self._out))
 
 
-def traced_execute(server: Any, batch: List[Any]):
-    """Replay-aware ``_execute`` shared by the serve and fleet servers.
+def traced_execute(loop: Any, batch: List[Any]):
+    """Replay-aware ``ServingLoop._execute``.
 
     Splits the batch into replayable frames (the stream's admitted
     subsequence still matches its trace prefix) and live ones, runs only
@@ -296,14 +275,14 @@ def traced_execute(server: Any, batch: List[Any]):
     the measurement window — those invocations were already billed when
     the replayed frames were dispatched) and stays live from then on.
     """
-    runner = server._trace_runner
+    runner = loop._trace_runner
     n = len(batch)
     states: List[Any] = [None] * n
     records: List[Optional[FrameRecord]] = [None] * n
     live: List[int] = []
     for idx, item in enumerate(batch):
         req = item.request
-        state = server._stream_state(req)
+        state = loop._stream_state(req)
         states[idx] = state
         rec = runner.match(req.stream, req.sequence.name, req.frame)
         if rec is not None:
@@ -319,26 +298,26 @@ def traced_execute(server: Any, batch: List[Any]):
     live_inv = 0
     if live:
         if runner.shareable:
-            before = server._measured_invocations()
+            before = loop._measured_invocations()
             outs = run_frame_batch(
                 [
                     (states[i].pipeline, batch[i].request.sequence, batch[i].request.frame)
                     for i in live
                 ],
-                metrics=server.metrics,
+                metrics=loop.metrics,
             )
-            live_inv = server._measured_invocations() - before
+            live_inv = loop._measured_invocations() - before
             for i, fr in zip(live, outs):
                 frame_results[i] = fr
                 per_frame_inv[i] = live_inv
         else:
             for i in live:
-                before = server._measured_invocations()
+                before = loop._measured_invocations()
                 fr = run_frame_batch(
                     [(states[i].pipeline, batch[i].request.sequence, batch[i].request.frame)],
-                    metrics=server.metrics,
+                    metrics=loop.metrics,
                 )[0]
-                delta = server._measured_invocations() - before
+                delta = loop._measured_invocations() - before
                 frame_results[i] = fr
                 per_frame_inv[i] = delta
                 live_inv += delta

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence as Seq
 
 from repro.api.spec import ServeSpec
-from repro.serve.server import ServeReport
+from repro.serve.server import ServeReport, ServeReportStore
 
 #: Default sweep grids: batch depths in powers of two, coalescing windows
 #: from "dispatch immediately" to a generous 50 ms.
@@ -164,6 +164,19 @@ class TuneResult:
         return f"{table}\n{verdict}"
 
 
+def _sweep_kind(kind: str):
+    """``(spec class, report class, store class, Session method)`` of a
+    sweep kind: ``"serve"`` (one server) or ``"fleet"``."""
+    if kind == "serve":
+        return ServeSpec, ServeReport, ServeReportStore, "serve"
+    if kind == "fleet":
+        from repro.fleet.server import FleetReport, FleetReportStore
+        from repro.fleet.spec import FleetSpec
+
+        return FleetSpec, FleetReport, FleetReportStore, "serve_fleet"
+    raise ValueError(f"unknown sweep kind: {kind!r}")
+
+
 def _evaluate_point(item):
     """Worker-process entry: evaluate one sweep point end to end.
 
@@ -175,18 +188,9 @@ def _evaluate_point(item):
     kind, cache_dir, spec_dict, use_cache = item
     from repro.api.session import Session
 
-    session = Session(cache_dir=cache_dir)
-    if kind == "serve":
-        from repro.api.spec import ServeSpec as _Spec
-
-        report = session.serve(_Spec.from_dict(spec_dict), use_cache=use_cache)
-    elif kind == "fleet":
-        from repro.fleet.spec import FleetSpec as _Spec
-
-        report = session.serve_fleet(_Spec.from_dict(spec_dict), use_cache=use_cache)
-    else:
-        raise ValueError(f"unknown sweep kind: {kind!r}")
-    return report.to_dict()
+    spec_cls, _, _, method = _sweep_kind(kind)
+    run = getattr(Session(cache_dir=cache_dir), method)
+    return run(spec_cls.from_dict(spec_dict), use_cache=use_cache).to_dict()
 
 
 def sweep_reports(
@@ -215,7 +219,8 @@ def sweep_reports(
 
     total = len(specs)
     notify = progress if progress is not None else (lambda label: None)
-    run = session.serve if kind == "serve" else session.serve_fleet
+    _, report_cls, store_cls, method = _sweep_kind(kind)
+    run = getattr(session, method)
     if resolve_workers(workers, total) <= 1:
         reports = []
         for point, label in zip(specs, labels):
@@ -223,16 +228,9 @@ def sweep_reports(
             notify(label)
         return reports
 
-    if kind == "serve":
-        from repro.serve.server import ServeReport as _Report
-        from repro.serve.server import ServeReportStore as _Store
-    else:
-        from repro.fleet.server import FleetReport as _Report
-        from repro.fleet.server import FleetReportStore as _Store
-
     cache_dir = str(session.cache.root) if session.cache is not None else None
     store = (
-        _Store(session.cache.root)
+        store_cls(session.cache.root)
         if session.cache is not None and use_cache
         else None
     )
@@ -261,7 +259,7 @@ def sweep_reports(
             labels=[labels[i] for i in pending],
         )
         for i, payload in zip(pending, results):
-            reports[i] = _Report.from_dict(payload)
+            reports[i] = report_cls.from_dict(payload)
     return reports
 
 
