@@ -1,7 +1,7 @@
 """Plugin registries for systems, dataset families and executors.
 
 The declarative API (:mod:`repro.api.spec`) names everything by string —
-``"catdet"``, ``"kitti"``, ``"process"`` — and these registries resolve the
+``"catdet"``, ``"kitti"``, ``"auto"`` — and these registries resolve the
 strings to builders.  Third-party scenarios plug in without touching core::
 
     from repro.api import register_system

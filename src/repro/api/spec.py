@@ -134,7 +134,7 @@ class ExecSpec:
     ----------
     executor:
         A registered executor name (built-ins: ``"auto"``, ``"serial"``,
-        ``"process"``, ``"multihost"``).
+        ``"multihost"``).
     workers:
         Sequence-level worker processes (``1`` = serial, ``0`` = one per
         CPU; ignored by ``"multihost"``, whose fleet size is whoever runs

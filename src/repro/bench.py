@@ -31,6 +31,7 @@ from repro.boxes.reference import scalar_greedy_merge_boxes, scalar_nms
 from repro.core.config import SystemConfig, build_system
 from repro.datasets.kitti import kitti_like_dataset
 from repro.detections import Detections
+from repro.obs.registry import MetricsRegistry
 from repro.tracker.catdet_tracker import CaTDetTracker, TrackerConfig
 from repro.tracker.reference import ScalarCaTDetTracker, ScalarSort
 from repro.tracker.sort import Sort, SortConfig
@@ -55,34 +56,17 @@ GATED_METRICS = (
 )
 
 
-class _TimedStage:
-    """Transparent stage proxy accumulating wall-clock per stage."""
-
-    def __init__(self, inner, sink: Dict[str, float]):
-        self._inner = inner
-        self._sink = sink
-        self._name = type(inner).__name__
-
-    def process(self, ctx) -> None:
-        start = time.perf_counter()
-        self._inner.process(ctx)
-        self._sink[self._name] = self._sink.get(self._name, 0.0) + time.perf_counter() - start
-
-    def end_frame(self, ctx) -> None:
-        start = time.perf_counter()
-        self._inner.end_frame(ctx)
-        self._sink[self._name] = self._sink.get(self._name, 0.0) + time.perf_counter() - start
-
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
-
-
 def bench_systems(
     num_sequences: int = 1,
     frames_per_sequence: int = 60,
     on_progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, Any]:
-    """Frames/sec and per-stage split for every registered system."""
+    """Frames/sec and per-stage split for every registered system.
+
+    The split is the ``engine_stage_seconds`` histogram sums of
+    :meth:`~repro.engine.stages.StagePipeline.instrument` (stage
+    ``process`` time; recorded, never gated).
+    """
     dataset = kitti_like_dataset(
         num_sequences=num_sequences, frames_per_sequence=frames_per_sequence
     )
@@ -91,20 +75,22 @@ def bench_systems(
         if on_progress:
             on_progress(f"system {name}")
         system = build_system(config)
-        stage_seconds: Dict[str, float] = {}
+        metrics = MetricsRegistry()
         frames = 0
         start = time.perf_counter()
         for sequence in dataset.sequences:
-            pipeline = system.build_pipeline()
-            pipeline.stages = [_TimedStage(s, stage_seconds) for s in pipeline.stages]
-            pipeline.run_sequence(sequence)
+            system.build_pipeline().instrument(metrics).run_sequence(sequence)
             frames += sequence.num_frames
         elapsed = time.perf_counter() - start
+        stage_seconds = metrics.get("engine_stage_seconds")
         out[name] = {
             "fps": frames / elapsed,
             "frames": frames,
             "seconds": elapsed,
-            "stage_seconds": {k: round(v, 6) for k, v in sorted(stage_seconds.items())},
+            "stage_seconds": {
+                stage: round(stage_seconds.sum((stage,)), 6)
+                for (stage,) in stage_seconds.labels_seen()
+            },
         }
     return out
 

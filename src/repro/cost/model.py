@@ -7,8 +7,7 @@ model ``T = alpha * W + b`` per launch (Appendix I):
 * :meth:`kernel_seconds` — GPU time of one launch of ``W`` MACs.
 * :meth:`single_model_timing` / :meth:`catdet_timing` — the Table-7
   estimators (one full-frame launch vs proposal + greedily-merged region
-  launches); the legacy :mod:`repro.gpu.timing` functions are thin shims
-  over these.
+  launches).
 * :meth:`frame_timing` — per-frame latency from a *measured*
   :class:`~repro.core.results.OpsAccount` plus the frame's actual region
   geometry; what the engine's
@@ -84,7 +83,7 @@ class CostModel:
         )
 
     # ------------------------------------------------------------------ #
-    # Table-7 estimators (geometry-driven, the legacy gpu.timing API)
+    # Table-7 estimators (geometry-driven)
     # ------------------------------------------------------------------ #
 
     def single_model_timing(self, frame_macs: float) -> FrameTiming:

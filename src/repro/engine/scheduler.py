@@ -7,6 +7,10 @@ processes yields byte-identical results to the serial loop.  Workers are
 seeded deterministically per sequence by construction: each one builds a
 fresh system from the same :class:`~repro.core.config.SystemConfig`
 (or from a pickled copy of the system), whose seed is part of the config.
+Systems without cross-frame feedback are also parallel *within* a
+sequence: any frame range is a pure function of ``(config, sequence,
+range)``, so :class:`ParallelExecutor` splits frames when sequences alone
+would leave workers idle (see :func:`plan_shards`).
 
 ``run_on_dataset(..., workers=N)`` (see :mod:`repro.core.pipeline`) picks
 the executor via :func:`make_executor`.
@@ -14,12 +18,13 @@ the executor via :func:`make_executor`.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from collections import Counter
+from functools import partial
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 from repro.core.results import SequenceResult
 from repro.datasets.types import Sequence
+from repro.utils.parmap import ParallelMapError, effective_cpu_count, parallel_map
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import SystemConfig
@@ -31,16 +36,20 @@ SystemLike = Union["DetectionSystem", "SystemConfig"]
 #: ``callback(done, total, sequence_name)``.
 ProgressFn = Callable[[int, int, str], None]
 
+#: One item of a parallel dataset run: frames ``[start, stop)`` of a sequence.
+Shard = Tuple[Sequence, int, int]
 
-class SequenceExecutionError(RuntimeError):
+
+class SequenceExecutionError(ParallelMapError):
     """A worker failed while processing one sequence.
 
     Carries the sequence name so a many-hour parallel run that dies
-    reports *which* shard killed it, not just a bare traceback.
+    reports *which* shard killed it, not just a bare traceback;
+    ``__cause__`` is the worker's exception.
     """
 
     def __init__(self, sequence_name: str, cause: BaseException):
-        super().__init__(f"sequence {sequence_name!r} failed: {cause}")
+        super().__init__(sequence_name, cause)
         self.sequence_name = sequence_name
 
 
@@ -56,42 +65,19 @@ def _count_mapped(executor: str, sequences: List[Sequence]) -> None:
 
     registry = default_registry()
     registry.counter(
-        "executor_sequences_total", "sequences mapped, by executor kind",
+        "executor_sequences_total", "sequences mapped, by executor class",
         labels=("executor",),
     ).inc(len(sequences), labels=(executor,))
     registry.counter(
-        "executor_frames_total", "frames mapped, by executor kind",
+        "executor_frames_total", "frames mapped, by executor class",
         labels=("executor",),
     ).inc(sum(s.num_frames for s in sequences), labels=(executor,))
-
-
-def effective_cpu_count() -> int:
-    """CPUs actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _is_config(target: SystemLike) -> bool:
     from repro.core.config import SystemConfig
 
     return isinstance(target, SystemConfig)
-
-
-def _run_sequence_from_config(config: "SystemConfig", sequence: Sequence) -> SequenceResult:
-    """Worker entry point: build the system fresh and process one sequence."""
-    from repro.core.config import build_system
-
-    return build_system(config).process_sequence(sequence)
-
-
-def _run_sequence_with_system(
-    system: "DetectionSystem", sequence: Sequence
-) -> SequenceResult:
-    """Worker entry point for a pickled system instance."""
-    system.reset()
-    return system.process_sequence(sequence)
 
 
 def config_is_frame_parallel(config: "SystemConfig") -> bool:
@@ -142,13 +128,6 @@ def run_frame_range(
     return result
 
 
-def _run_frame_range_from_config(
-    config: "SystemConfig", sequence: Sequence, start: int, stop: int
-) -> List["object"]:
-    """Worker entry point: one frame chunk, rebuilt from the config."""
-    return run_frame_range(config, sequence, start, stop).frames
-
-
 def split_frame_ranges(
     num_frames: int, chunks: int
 ) -> List[Tuple[int, int]]:
@@ -168,6 +147,49 @@ def split_frame_ranges(
         ranges.append((start, stop))
         start = stop
     return ranges
+
+
+def plan_shards(
+    target: SystemLike, sequences: List[Sequence], workers: int
+) -> List[Shard]:
+    """The ``(sequence, start, stop)`` items a parallel run maps, in order.
+
+    One whole-sequence item per sequence, unless sequences alone would
+    leave workers idle *and* frames may be split: the target is a
+    :class:`~repro.core.config.SystemConfig` whose registered kind
+    declares ``frame_parallel`` (live instances and tracker kinds stay
+    whole), and there are fewer sequences than workers.  Each sequence
+    then splits into ``workers // len(sequences)`` contiguous ranges —
+    rounding down, so equal-length sequences never need a second round
+    of shards (2 sequences on 3 workers stay whole).
+    """
+    chunks = 1
+    if (
+        0 < len(sequences) < workers
+        and _is_config(target)
+        and config_is_frame_parallel(target)
+    ):
+        chunks = workers // len(sequences)
+    # A frameless sequence is still one (empty) whole-sequence item.
+    return [
+        (sequence, start, stop)
+        for sequence in sequences
+        for start, stop in split_frame_ranges(sequence.num_frames, chunks) or [(0, 0)]
+    ]
+
+
+def _run_shard(target: SystemLike, shard: Shard) -> SequenceResult:
+    """Worker entry point: one whole sequence, or one frame range of it."""
+    sequence, start, stop = shard
+    if start > 0 or stop < sequence.num_frames:
+        return run_frame_range(target, sequence, start, stop)
+    if _is_config(target):
+        from repro.core.config import build_system
+
+        target = build_system(target)
+    else:
+        target.reset()
+    return target.process_sequence(sequence)
 
 
 class SerialExecutor:
@@ -197,19 +219,22 @@ class SerialExecutor:
 
 
 class ParallelExecutor:
-    """Fan sequences out to a pool of worker processes.
+    """Fan a dataset run out through :func:`~repro.utils.parmap.parallel_map`.
 
-    Results come back in submission order, so a parallel run's
-    :class:`~repro.core.results.SystemRunResult` is indistinguishable from
-    a serial one.  Prefer passing a :class:`SystemConfig` — workers then
-    rebuild the system from the declarative description instead of
-    pickling detector caches across the process boundary.
+    The items are :func:`plan_shards`' ``(sequence, frame range)``
+    shards; results come back in plan order and are spliced back per
+    sequence, so a parallel run's
+    :class:`~repro.core.results.SystemRunResult` is indistinguishable
+    from a serial one.  Prefer passing a :class:`SystemConfig` — workers
+    then rebuild the system from the declarative description instead of
+    pickling detector caches across the process boundary, and
+    frame-parallel kinds may split within sequences.  ``on_progress``
+    fires once per finished sequence, split or not.
 
     Parameters
     ----------
     workers:
-        Worker process count (must be >= 1; 1 still goes through the
-        pool, which is occasionally useful for isolation testing).
+        Worker process count (must be >= 1; 1 runs in this process).
     """
 
     def __init__(self, workers: int):
@@ -226,156 +251,43 @@ class ParallelExecutor:
     ) -> List[SequenceResult]:
         if not sequences:
             return []
-        if _is_config(target):
-            worker_fn = _run_sequence_from_config
-        else:
-            worker_fn = _run_sequence_with_system
-            # Workers reset the system before use anyway; resetting here
-            # avoids pickling populated detector caches once per sequence.
-            target.reset()
-        max_workers = min(self.workers, len(sequences))
-        pool = ProcessPoolExecutor(max_workers=max_workers)
-        interrupted = False
-        try:
-            futures = [pool.submit(worker_fn, target, s) for s in sequences]
-            by_future = dict(zip(futures, sequences))
-            # Fail fast: observe completions as they land instead of
-            # blocking in-order on f.result() — the first worker exception
-            # cancels everything still pending and names its sequence.
-            pending = set(futures)
-            done_count = 0
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_EXCEPTION)
-                for future in finished:
-                    exc = future.exception()
-                    if exc is not None:
-                        for other in pending:
-                            other.cancel()
-                        raise SequenceExecutionError(
-                            by_future[future].name, exc
-                        ) from exc
-                    done_count += 1
-                    if on_progress is not None:
-                        on_progress(
-                            done_count, len(sequences), by_future[future].name
-                        )
-            _count_mapped("process", sequences)
-            return [f.result() for f in futures]
-        except (KeyboardInterrupt, SystemExit):
-            # Don't wait for in-flight sequences on ^C — drop the pool's
-            # queue and kill it now.
-            interrupted = True
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        finally:
-            if not interrupted:
-                pool.shutdown(wait=True, cancel_futures=True)
-
-
-class FrameParallelExecutor:
-    """Split *within* sequences: frame-range shards on a process pool.
-
-    Sequence-level parallelism (:class:`ParallelExecutor`) saturates once
-    the dataset has fewer sequences than cores — the long tail is one
-    worker grinding through the longest sequence.  For systems whose
-    registered kind declares ``frame_parallel`` (single, cascade: every
-    frame is a pure function of ``(config, sequence, frame)``), this
-    executor fans contiguous frame ranges of *every* sequence out to the
-    pool and splices the chunks back in order, byte-identical to the
-    serial loop.  Systems with cross-frame feedback (catdet, keyframe)
-    fall back to whole-sequence shards — tracker causality keeps them
-    sequence-serial, exactly like :class:`ParallelExecutor`.
-
-    Requires a declarative :class:`~repro.core.config.SystemConfig`
-    target so workers can rebuild the system (and so the kind's
-    ``frame_parallel`` declaration can be trusted).
-    """
-
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
-
-    def map_sequences(
-        self,
-        target: SystemLike,
-        sequences: List[Sequence],
-        *,
-        on_progress: Optional[ProgressFn] = None,
-    ) -> List[SequenceResult]:
         if not _is_config(target):
-            raise TypeError(
-                "the frame-parallel executor needs a SystemConfig (the "
-                "registered kind declares whether frames are independent)"
-            )
-        if not sequences:
-            return []
-        if not config_is_frame_parallel(target):
-            return ParallelExecutor(self.workers).map_sequences(
-                target, sequences, on_progress=on_progress
-            )
-        # Aim for a few chunks per worker so uneven chunk runtimes level
-        # out, without splintering short sequences into per-frame tasks.
-        total_frames = sum(s.num_frames for s in sequences)
-        target_chunk = max(8, total_frames // (self.workers * 4) or 1)
-        plan: List[Tuple[int, Tuple[int, int]]] = []  # (seq idx, range)
-        for i, sequence in enumerate(sequences):
-            chunks = max(1, sequence.num_frames // target_chunk)
-            for frame_range in split_frame_ranges(sequence.num_frames, chunks):
-                plan.append((i, frame_range))
-        results: List[Optional[SequenceResult]] = [None] * len(sequences)
-        chunks_left = [0] * len(sequences)
-        for i, _ in plan:
-            chunks_left[i] += 1
-        parts: List[dict] = [dict() for _ in sequences]
-        done_sequences = 0
-        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(plan)))
-        interrupted = False
+            # Workers reset the system before use anyway; resetting here
+            # avoids pickling populated detector caches once per shard.
+            target.reset()
+        shards = plan_shards(target, sequences, self.workers)
+        shards_left = Counter(sequence.name for sequence, _, _ in shards)
+        done = 0
+
+        def progress(_done: int, _total: int, name: str) -> None:
+            nonlocal done
+            shards_left[name] -= 1
+            if shards_left[name] == 0:
+                done += 1
+                if on_progress is not None:
+                    on_progress(done, len(sequences), name)
+
         try:
-            futures = {
-                pool.submit(
-                    _run_frame_range_from_config, target, sequences[i], start, stop
-                ): (i, start)
-                for i, (start, stop) in plan
-            }
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_EXCEPTION)
-                for future in finished:
-                    i, start = futures[future]
-                    exc = future.exception()
-                    if exc is not None:
-                        for other in pending:
-                            other.cancel()
-                        raise SequenceExecutionError(
-                            sequences[i].name, exc
-                        ) from exc
-                    parts[i][start] = future.result()
-                    chunks_left[i] -= 1
-                    if chunks_left[i] == 0:
-                        frames = []
-                        for _, chunk in sorted(parts[i].items()):
-                            frames.extend(chunk)
-                        results[i] = SequenceResult(
-                            sequence_name=sequences[i].name, frames=frames
-                        )
-                        done_sequences += 1
-                        if on_progress is not None:
-                            on_progress(
-                                done_sequences, len(sequences), sequences[i].name
-                            )
-            _count_mapped("frames", sequences)
-            return results  # type: ignore[return-value]
-        except (KeyboardInterrupt, SystemExit):
-            interrupted = True
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        finally:
-            if not interrupted:
-                pool.shutdown(wait=True, cancel_futures=True)
+            parts = parallel_map(
+                partial(_run_shard, target),
+                shards,
+                workers=self.workers,
+                on_progress=progress,
+                labels=[sequence.name for sequence, _, _ in shards],
+            )
+        except ParallelMapError as exc:
+            raise SequenceExecutionError(exc.label, exc.__cause__) from exc.__cause__
+        results: List[SequenceResult] = []
+        for (_, start, _), part in zip(shards, parts):
+            if start == 0:
+                results.append(part)
+            else:
+                results[-1].frames.extend(part.frames)
+        _count_mapped("parallel", sequences)
+        return results
 
 
-SequenceExecutor = Union[SerialExecutor, ParallelExecutor, FrameParallelExecutor]
+SequenceExecutor = Union[SerialExecutor, ParallelExecutor]
 
 
 def make_executor(workers: Optional[int]) -> SequenceExecutor:
@@ -413,25 +325,3 @@ def _serial_executor(workers: Optional[int]) -> SequenceExecutor:
     if workers not in (None, 0, 1):
         raise ValueError(f"the serial executor is single-worker, got workers={workers}")
     return SerialExecutor()
-
-
-@register_executor("process")
-def _process_executor(workers: Optional[int]) -> SequenceExecutor:
-    """A process pool even for ``workers=1`` (isolation testing)."""
-    if workers is None:
-        workers = 1
-    if workers == 0:
-        workers = effective_cpu_count()
-    return ParallelExecutor(workers)
-
-
-@register_executor("frames")
-def _frames_executor(workers: Optional[int]) -> SequenceExecutor:
-    """Frame-range sharding for frame-parallel system kinds.
-
-    ``None``/``0`` → one worker per available CPU.  Kinds with
-    cross-frame feedback degrade to sequence-level shards.
-    """
-    if workers in (None, 0):
-        workers = effective_cpu_count()
-    return FrameParallelExecutor(workers)

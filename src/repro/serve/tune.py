@@ -177,20 +177,38 @@ def _sweep_kind(kind: str):
     raise ValueError(f"unknown sweep kind: {kind!r}")
 
 
+#: The :class:`~repro.api.session.Session` counters a worker hands back.
+_SESSION_COUNTERS = ("trace_hits", "trace_misses", "frames_replayed")
+
+
 def _evaluate_point(item):
     """Worker-process entry: evaluate one sweep point end to end.
 
     Builds its own :class:`~repro.api.session.Session` over the shared
     cache directory (content-addressed atomic writes make concurrent
     workers safe) and returns the report as a plain dict — the parent
-    reconstructs it exactly like a cache hit, statistics only.
+    reconstructs it exactly like a cache hit, statistics only — beside
+    the child session's counters, which the parent adds to its own.
     """
     kind, cache_dir, spec_dict, use_cache = item
     from repro.api.session import Session
 
     spec_cls, _, _, method = _sweep_kind(kind)
-    run = getattr(Session(cache_dir=cache_dir), method)
-    return run(spec_cls.from_dict(spec_dict), use_cache=use_cache).to_dict()
+    session = Session(cache_dir=cache_dir)
+    report = getattr(session, method)(spec_cls.from_dict(spec_dict), use_cache=use_cache)
+    counters = {name: getattr(session, name) for name in _SESSION_COUNTERS}
+    counters["cache_hits"] = session.cache_hits
+    counters["cache_misses"] = session.cache_misses
+    return report.to_dict(), counters
+
+
+def _add_counters(session, counters) -> None:
+    """Add a worker session's counters to the parent ``session``."""
+    for name in _SESSION_COUNTERS:
+        setattr(session, name, getattr(session, name) + counters[name])
+    if session.cache is not None:
+        session.cache.hits += counters["cache_hits"]
+        session.cache.misses += counters["cache_misses"]
 
 
 def sweep_reports(
@@ -213,9 +231,11 @@ def sweep_reports(
     record the shared compute trace, so every worker replays it instead
     of re-running the engine.  Results come back in spec order;
     ``progress(label)`` fires per finished point, in completion order
-    when parallel.
+    when parallel.  Workers' session counters (cache and trace hits and
+    misses, frames replayed) are added to ``session``'s.  A failing
+    point raises its own exception at any worker count.
     """
-    from repro.utils.parmap import parallel_map, resolve_workers
+    from repro.utils.parmap import ParallelMapError, parallel_map, resolve_workers
 
     total = len(specs)
     notify = progress if progress is not None else (lambda label: None)
@@ -251,15 +271,20 @@ def sweep_reports(
         items = [
             (kind, cache_dir, specs[i].to_dict(), use_cache) for i in pending
         ]
-        results = parallel_map(
-            _evaluate_point,
-            items,
-            workers=workers,
-            on_progress=lambda done, n, label: notify(label),
-            labels=[labels[i] for i in pending],
-        )
-        for i, payload in zip(pending, results):
+        try:
+            results = parallel_map(
+                _evaluate_point,
+                items,
+                workers=workers,
+                on_progress=lambda done, n, label: notify(label),
+                labels=[labels[i] for i in pending],
+            )
+        except ParallelMapError as exc:
+            # A failing point raises what the serial sweep would raise.
+            raise exc.__cause__
+        for i, (payload, counters) in zip(pending, results):
             reports[i] = report_cls.from_dict(payload)
+            _add_counters(session, counters)
     return reports
 
 

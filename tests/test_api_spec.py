@@ -28,7 +28,7 @@ def _rich_spec() -> ExperimentSpec:
         ),
         dataset=DatasetSpec("citypersons", num_sequences=5, seed=11),
         eval=EvalSpec(difficulties=("moderate",), ap_method="voc11", with_delay=False),
-        exec=ExecSpec(executor="process", workers=2),
+        exec=ExecSpec(executor="multihost", workers=2, queue_dir="q"),
     )
 
 

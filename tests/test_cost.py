@@ -2,9 +2,9 @@
 
 The load-bearing guarantees:
 
-* the ``titanx`` profile reproduces the legacy ``gpu/timing.py``
-  kernel/wall numbers **bit-for-bit** at the Table-7 operating points
-  (calibration parity — the shim and the cost layer can never drift);
+* the ``titanx`` profile reproduces the pinned Table-7 kernel/wall
+  numbers **bit-for-bit** at the paper's operating points (calibration
+  parity — a change to the cost layer cannot drift them silently);
 * the ``abstract`` profile reproduces the serving layer's historical
   defaults (2 ms/invocation, 2000 Gops/s) exactly;
 * profiles are frozen, validated, registered by name and JSON
@@ -30,11 +30,7 @@ from repro.cost import (
     profile_from_service_rates,
     register_device,
 )
-from repro.gpu.timing import (
-    GpuTimingModel,
-    estimate_catdet_timing,
-    estimate_single_model_timing,
-)
+from repro.boxes.merge import MergeCostModel
 
 GIGA = 1e9
 
@@ -87,21 +83,19 @@ class TestDeviceProfile:
 
 
 class TestCalibrationParity:
-    """CostModel must reproduce gpu/timing.py numbers bit-for-bit."""
+    """CostModel must reproduce the pinned Titan X numbers bit-for-bit."""
 
-    def test_titanx_matches_legacy_constants(self):
-        legacy = GpuTimingModel()
-        assert TITANX.alpha == legacy.alpha
-        assert TITANX.launch_overhead_seconds == legacy.launch_overhead_seconds
+    def test_titanx_matches_pinned_constants(self):
+        assert TITANX.alpha == 6.252457727093983e-13
+        assert TITANX.launch_overhead_seconds == 0.006602595359811246
 
     def test_single_model_table7_point_bit_for_bit(self):
         """Res50 Faster R-CNN: 254.3 Gops (0.159 s GPU / 0.193 s wall)."""
-        legacy = estimate_single_model_timing(254.3 * GIGA)
         cost = CostModel(TITANX).single_model_timing(254.3 * GIGA)
-        assert cost.gpu_seconds == legacy.gpu_seconds
-        assert cost.cpu_seconds == legacy.cpu_seconds
-        assert cost.total_seconds == legacy.total_seconds
-        assert cost.num_launches == legacy.num_launches
+        assert cost.gpu_seconds == 0.16560259535981126
+        assert cost.cpu_seconds == 0.034
+        assert cost.total_seconds == 0.19960259535981126
+        assert cost.num_launches == 1
         assert cost.gpu_seconds == pytest.approx(0.159, rel=0.1)
         assert cost.total_seconds == pytest.approx(0.193, rel=0.1)
 
@@ -113,29 +107,35 @@ class TestCalibrationParity:
         y = rng.uniform(150, 230, size=16)
         w = rng.uniform(60, 140, size=16)
         regions = np.stack([x, y, x + w, y + w * 0.7], axis=1)
-        for merge in (True, False):
-            legacy = estimate_catdet_timing(
-                20.7 * GIGA, regions, 12 * GIGA, merge=merge
-            )
+        pinned = {
+            True: (0.040789277716479895, 0.036000000000000004, 2),
+            False: (0.13762539761371065, 0.051000000000000004, 17),
+        }
+        for merge, (gpu, cpu, launches) in pinned.items():
             cost = CostModel(TITANX).catdet_timing(
                 20.7 * GIGA, regions, 12 * GIGA, merge=merge
             )
-            assert cost.gpu_seconds == legacy.gpu_seconds
-            assert cost.cpu_seconds == legacy.cpu_seconds
-            assert cost.num_launches == legacy.num_launches
+            assert cost.gpu_seconds == gpu
+            assert cost.cpu_seconds == cpu
+            assert cost.num_launches == launches
 
     def test_kernel_seconds_bit_for_bit(self):
-        legacy = GpuTimingModel()
         cost = CostModel(TITANX)
-        for macs in (0.0, 1.0, 20.7 * GIGA, 254.3 * GIGA):
-            assert cost.kernel_seconds(macs) == legacy.kernel_time(macs)
+        pinned = {
+            0.0: 0.006602595359811246,
+            1.0: 0.006602595360436492,
+            20.7 * GIGA: 0.01954518285489579,
+            254.3 * GIGA: 0.16560259535981126,
+        }
+        for macs, seconds in pinned.items():
+            assert cost.kernel_seconds(macs) == seconds
         with pytest.raises(ValueError, match="macs"):
             cost.kernel_seconds(-1.0)
 
     def test_merge_cost_model_parity(self):
-        legacy = GpuTimingModel().merge_cost_model()
-        cost = CostModel(TITANX).merge_cost_model()
-        assert cost == legacy
+        assert CostModel(TITANX).merge_cost_model() == MergeCostModel(
+            alpha=4.126622099882029e-08, base_area=160000.0
+        )
 
     def test_abstract_batch_seconds_matches_legacy_formula(self):
         cost = CostModel(ABSTRACT)

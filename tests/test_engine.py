@@ -16,10 +16,10 @@ from repro.core.keyframe import KeyFrameSystem
 from repro.core.pipeline import run_on_dataset
 from repro.core.systems import CaTDetSystem
 from repro.engine.scheduler import (
-    FrameParallelExecutor,
     ParallelExecutor,
     SerialExecutor,
     make_executor,
+    plan_shards,
     run_frame_range,
     split_frame_ranges,
 )
@@ -91,7 +91,7 @@ class TestParallelExecutor:
         assert len(run.sequences) == 1
 
 
-class TestFrameParallelExecutor:
+class TestFrameSharding:
     @pytest.mark.parametrize(
         "config",
         [SystemConfig("single", "resnet10b"),
@@ -101,26 +101,48 @@ class TestFrameParallelExecutor:
     def test_frame_chunks_match_serial(self, config, kitti_small):
         """Frame-range sharding is byte-identical for independent-frame kinds."""
         serial = run_on_dataset(config, kitti_small, workers=1)
-        chunked = run_on_dataset(
-            config, kitti_small, executor=FrameParallelExecutor(3)
-        )
+        chunked = run_on_dataset(config, kitti_small, workers=4)
         assert_runs_identical(serial, chunked)
 
     def test_tracker_kinds_stay_sequence_serial(self, kitti_small):
-        """catdet degrades to whole-sequence shards — still identical."""
+        """catdet runs whole-sequence shards — still identical."""
         config = SystemConfig("catdet", "resnet50", "resnet10a")
         serial = run_on_dataset(config, kitti_small, workers=1)
-        fallback = run_on_dataset(
-            config, kitti_small, executor=FrameParallelExecutor(2)
-        )
+        fallback = run_on_dataset(config, kitti_small, workers=3)
         assert_runs_identical(serial, fallback)
 
-    def test_requires_declarative_config(self, kitti_small):
-        system = build_system(SystemConfig("single", "resnet10b"))
-        with pytest.raises(TypeError, match="SystemConfig"):
-            FrameParallelExecutor(2).map_sequences(
-                system, kitti_small.sequences[:1]
-            )
+    def test_plan_splits_only_frame_parallel_configs_short_of_workers(
+        self, kitti_small
+    ):
+        sequences = kitti_small.sequences  # 2 x 60 frames
+        whole = [(s, 0, s.num_frames) for s in sequences]
+        for config in (SystemConfig("single", "resnet10b"),
+                       SystemConfig("cascade", "resnet50", "resnet10a")):
+            # 4 // 2 = 2 contiguous ranges per sequence.
+            assert plan_shards(config, sequences, 4) == [
+                (sequences[0], 0, 30), (sequences[0], 30, 60),
+                (sequences[1], 0, 30), (sequences[1], 30, 60),
+            ]
+            # 3 // 2 rounds down: splitting would only add a second round.
+            assert plan_shards(config, sequences, 3) == whole
+            assert plan_shards(config, sequences, 2) == whole
+            assert plan_shards(config, sequences[:1], 4) == [
+                (sequences[0], start, start + 15) for start in (0, 15, 30, 45)
+            ]
+        catdet = SystemConfig("catdet", "resnet50", "resnet10a")
+        assert plan_shards(catdet, sequences, 8) == whole
+        live = build_system(SystemConfig("single", "resnet10b"))
+        assert plan_shards(live, sequences, 8) == whole
+
+    def test_progress_fires_once_per_split_sequence(self, kitti_small):
+        seen = []
+        ParallelExecutor(4).map_sequences(
+            SystemConfig("single", "resnet10b"),
+            kitti_small.sequences,
+            on_progress=lambda done, total, name: seen.append((done, total, name)),
+        )
+        assert [(d, t) for d, t, _ in seen] == [(1, 2), (2, 2)]
+        assert {name for _, _, name in seen} == {s.name for s in kitti_small.sequences}
 
     def test_run_frame_range_prefix_only_for_causal_kinds(self, kitti_small):
         sequence = kitti_small.sequences[0]
@@ -156,13 +178,6 @@ class TestFrameParallelExecutor:
         assert split_frame_ranges(10, 3) == [(0, 4), (4, 7), (7, 10)]
         assert split_frame_ranges(2, 5) == [(0, 1), (1, 2)]
         assert split_frame_ranges(0, 3) == []
-
-    def test_frames_executor_registered(self):
-        from repro.api.registry import EXECUTORS
-
-        executor = EXECUTORS.get("frames")(2)
-        assert isinstance(executor, FrameParallelExecutor)
-        assert executor.workers == 2
 
 
 class TestStream:

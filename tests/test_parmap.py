@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.engine.scheduler import effective_cpu_count
-from repro.utils.parmap import parallel_map, resolve_workers
+from repro.utils.parmap import (
+    ParallelMapError,
+    effective_cpu_count,
+    parallel_map,
+    resolve_workers,
+)
 
 
 def _square(x):
@@ -80,3 +84,12 @@ class TestParallelMap:
     def test_serial_exception_propagates(self):
         with pytest.raises(RuntimeError, match="boom at 3"):
             parallel_map(_maybe_fail, list(range(6)))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_names_its_label_and_chains_the_cause(self, workers):
+        labels = [f"item-{i}" for i in range(6)]
+        with pytest.raises(ParallelMapError, match="item-3") as excinfo:
+            parallel_map(_maybe_fail, list(range(6)), workers=workers, labels=labels)
+        assert excinfo.value.label == "item-3"
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        assert str(excinfo.value.__cause__) == "boom at 3"

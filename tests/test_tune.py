@@ -7,13 +7,15 @@ policies meet it — the tuner must pick a feasible point, report the
 infeasible ones as such, and serve a complete re-tune from the cache.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.api.session import Session
 from repro.api.spec import DatasetSpec, ServeSpec
 from repro.core.config import SystemConfig
 from repro.serve import LoadSpec, ServePolicy, ServiceModel
-from repro.serve.tune import tune_policy
+from repro.serve.tune import sweep_reports, tune_policy
 
 SLO_P99_MS = 300.0
 BATCH_GRID = (1, 8)
@@ -253,6 +255,36 @@ class TestParallelSweep:
         unique = [c for c in first.candidates if c.alias_of is None]
         assert session.cache_hits == hits_before + len(unique)
         assert again.best.report.to_dict() == first.best.report.to_dict()
+
+    def test_session_counters_equal_at_one_and_two_workers(self, tmp_path):
+        """Work done in pool workers is counted on the parent session."""
+        counters = {}
+        for workers in (1, 2):
+            session = Session(cache_dir=tmp_path / f"w{workers}")
+            session.tune_serve(
+                _base_spec(),
+                slo_p99_ms=SLO_P99_MS,
+                batch_sizes=BATCH_GRID,
+                max_waits_ms=WAIT_GRID,
+                workers=workers,
+            )
+            counters[workers] = {
+                "cache_hits": session.cache_hits,
+                "cache_misses": session.cache_misses,
+                "trace_hits": session.trace_hits,
+                "trace_misses": session.trace_misses,
+                "frames_replayed": session.frames_replayed,
+            }
+        assert counters[1]["frames_replayed"] > 0
+        assert counters[2] == counters[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_point_raises_its_own_error(self, workers):
+        """A bad grid point fails with the same exception type serially and
+        across the pool (no cache, so every point reaches the pool)."""
+        bad = dataclasses.replace(_base_spec(), dataset=DatasetSpec("no-such-family"))
+        with pytest.raises(KeyError, match="no-such-family"):
+            sweep_reports(Session(), "serve", [bad, bad], ["a", "b"], workers=workers)
 
 
 class TestQueueWaitBound:
