@@ -336,39 +336,53 @@ def _grid_type(convert):
     return parse
 
 
+def _csv(values) -> str:
+    """``values`` as the comma-separated grid :func:`_grid_type` parses."""
+    return ",".join(f"{v:g}" for v in values)
+
+
 def _slo_gate(report, slo_p99_ms, slo_wait_p95_ms=None) -> int:
     """The non-tune ``--slo-p99-ms`` acceptance gate (0 = pass, 1 = fail).
 
-    Fails on a p99 miss, on *any* shed frame (shed frames have no
-    latency — dropping load is not a pass), when bounded on a queue-wait
-    p95 miss, and for a fleet report on any dead stream (a stream that
-    never got a frame served is an availability failure no latency
-    percentile can reveal).  Prints one verdict line per check so CI
-    logs say exactly which bound broke.
+    Applies the tuners' feasibility rule
+    (:func:`repro.serve.tune.slo_failures`) and prints one verdict line
+    per broken bound so CI logs say exactly which one broke.
     """
-    fleet = report.slo["fleet"]
-    failures = []
-    p99 = float(fleet["p99_ms"])
-    if p99 > slo_p99_ms:
-        failures.append(f"p99 {p99:.1f} ms > target {slo_p99_ms:g} ms")
-    if report.frames_shed > 0:
-        failures.append(f"{report.frames_shed} frame(s) shed under the offered load")
-    if slo_wait_p95_ms is not None:
-        wait_p95 = float(fleet.get("wait_p95_ms", 0.0))
-        if wait_p95 > slo_wait_p95_ms:
-            failures.append(
-                f"queue-wait p95 {wait_p95:.1f} ms > target {slo_wait_p95_ms:g} ms"
-            )
-    dead = getattr(report, "dead_streams", None)
-    if dead:
-        failures.append(f"{len(dead)} dead stream(s): " + ", ".join(dead))
+    from repro.serve.tune import slo_failures
+
+    failures = slo_failures(report, slo_p99_ms, slo_wait_p95_ms)
     if failures:
         for failure in failures:
             print(f"SLO FAIL: {failure}", file=sys.stderr)
         return 1
+    p99 = float(report.slo["fleet"]["p99_ms"])
     verdict = f"SLO PASS: p99 {p99:.1f} ms <= {slo_p99_ms:g} ms, nothing shed"
+    dead = getattr(report, "dead_streams", None)
     print(verdict if dead is None else f"{verdict}, no dead streams")
     return 0
+
+
+def _run_tune(session: Session, header: str, tune, tune_out=None) -> int:
+    """Run a sweep (``tune()``), print it and its best point.
+
+    Exit 2 on a bad grid (an unknown device, a batch size the policy
+    rejects), 1 when no point is feasible, else 0.
+    """
+    try:
+        result = tune()
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if tune_out:
+        _write_tune_json(tune_out, result)
+    print(header)
+    print(result.format())
+    if result.best is not None:
+        print()
+        print(f"fingerprint: {result.best.spec.fingerprint[:16]}")
+        print(result.best.report.format())
+    _print_cache_stats(session)
+    return 0 if result.best is not None else 1
 
 
 def _write_tune_json(path: str, result) -> None:
@@ -408,8 +422,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if args.slo_p99_ms is None:
             print("error: --tune requires --slo-p99-ms <target>", file=sys.stderr)
             return 2
-        try:
-            result = session.tune_serve(
+        return _run_tune(
+            session,
+            f"tuning: {spec.label} on device {spec.device or 'custom'}",
+            lambda: session.tune_serve(
                 spec,
                 slo_p99_ms=args.slo_p99_ms,
                 slo_wait_p95_ms=args.slo_wait_p95_ms,
@@ -418,21 +434,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 use_cache=not args.no_cache,
                 on_progress=_progress(args),
                 workers=args.workers,
-            )
-        except ValueError as exc:
-            # e.g. a grid value ServePolicy rejects (batch size 0).
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.tune_out:
-            _write_tune_json(args.tune_out, result)
-        print(f"tuning: {spec.label} on device {spec.device or 'custom'}")
-        print(result.format())
-        if result.best is not None:
-            print()
-            print(f"fingerprint: {result.best.spec.fingerprint[:16]}")
-            print(result.best.report.format())
-        _print_cache_stats(session)
-        return 0 if result.best is not None else 1
+            ),
+            args.tune_out,
+        )
     try:
         sink = make_sink(args.sink) if args.sink else None
     except ValueError as exc:
@@ -649,8 +653,11 @@ def cmd_fleet_tune(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     session = _session(args)
-    try:
-        result = session.tune_fleet(
+    return _run_tune(
+        session,
+        f"tuning fleet: {spec.system.label} @ {spec.dataset.family} "
+        f"x{spec.load.num_streams} {spec.load.pattern}",
+        lambda: session.tune_fleet(
             spec,
             slo_p99_ms=args.slo_p99_ms,
             replica_counts=args.replica_grid,
@@ -659,21 +666,8 @@ def cmd_fleet_tune(args: argparse.Namespace) -> int:
             use_cache=not args.no_cache,
             on_progress=_progress(args),
             workers=args.workers,
-        )
-    except (KeyError, ValueError) as exc:
-        # e.g. an unknown device in --device-mix or a batch size the
-        # policy rejects.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"tuning fleet: {spec.system.label} @ {spec.dataset.family} "
-          f"x{spec.load.num_streams} {spec.load.pattern}")
-    print(result.format())
-    if result.best is not None:
-        print()
-        print(f"fingerprint: {result.best.spec.fingerprint[:16]}")
-        print(result.best.report.format())
-    _print_cache_stats(session)
-    return 0 if result.best is not None else 1
+        ),
+    )
 
 
 def cmd_fleet_report(args: argparse.Namespace) -> int:
@@ -1193,6 +1187,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--slo-ms", type=float, default=200.0,
                          help="end-to-end latency objective")
     from repro.cost import DEVICE_PROFILES
+    from repro.fleet.tune import DEFAULT_REPLICA_COUNTS
+    from repro.serve.tune import DEFAULT_BATCH_SIZES, DEFAULT_MAX_WAITS_MS
 
     serve_p.add_argument("--device", choices=DEVICE_PROFILES.names(), default=None,
                          help="calibrated device profile the service model is "
@@ -1216,11 +1212,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--sink", default=None, metavar="SPEC",
                          help="stream per-frame/shed/summary records to a "
                          "result sink: jsonl:<path>, table, or null")
-    serve_p.add_argument("--batch-grid", type=_grid_type(int), default=(1, 2, 4, 8),
-                         help="comma-separated max_batch_size grid for --tune")
-    serve_p.add_argument("--wait-grid", type=_grid_type(float),
-                         default=(0.0, 10.0, 25.0, 50.0),
-                         help="comma-separated max_wait_ms grid for --tune")
+    serve_p.add_argument("--batch-grid", type=_grid_type(int), default=None,
+                         help="comma-separated max_batch_size grid for --tune "
+                         f"(default: {_csv(DEFAULT_BATCH_SIZES)})")
+    serve_p.add_argument("--wait-grid", type=_grid_type(float), default=None,
+                         help="comma-separated max_wait_ms grid for --tune "
+                         f"(default: {_csv(DEFAULT_MAX_WAITS_MS)})")
     serve_p.add_argument("--workers", type=_workers_count, default=1,
                          help="evaluate cold --tune grid points in N "
                          "processes sharing the cache (1 = serial, 0 = one "
@@ -1359,7 +1356,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="fleet p99 feasibility target")
     fleet_tune_p.add_argument("--replica-grid", type=_grid_type(int),
                               default=None, metavar="N0,N1,...",
-                              help="replica-count axis (default: 1,2,3,4)")
+                              help="replica-count axis (default: "
+                              f"{_csv(DEFAULT_REPLICA_COUNTS)})")
     fleet_tune_p.add_argument("--device-mix", action="append",
                               type=_grid_type(str), default=None,
                               metavar="DEV0,DEV1,...",

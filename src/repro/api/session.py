@@ -380,24 +380,17 @@ class Session:
     ) -> "Any":
         """Sweep static fleet shapes for ``spec``, pick the cheapest feasible.
 
-        Thin wrapper over :func:`repro.fleet.tune.tune_fleet`: every
-        swept point (replica count x device mix x batch size) routes
-        through :meth:`serve_fleet`, so a repeated tune is served
-        entirely from the report cache.  Feasibility requires meeting
-        the p99 target with zero shed frames and zero dead streams; the
-        objective is modeled cost-per-frame (allocated replica-time at
-        each device's hourly rate).  Returns a
-        :class:`repro.fleet.tune.FleetTuneResult`.
+        :func:`repro.fleet.tune.tune_fleet` over this session: every
+        point routes through :meth:`serve_fleet`, so a repeated tune is
+        served entirely from the report cache.
         """
-        from repro.fleet.tune import DEFAULT_REPLICA_COUNTS, tune_fleet
+        from repro.fleet.tune import tune_fleet
 
         return tune_fleet(
             self,
             spec,
             slo_p99_ms=slo_p99_ms,
-            replica_counts=(
-                DEFAULT_REPLICA_COUNTS if replica_counts is None else replica_counts
-            ),
+            replica_counts=replica_counts,
             device_mixes=device_mixes,
             batch_sizes=batch_sizes,
             use_cache=use_cache,
@@ -447,28 +440,19 @@ class Session:
     ) -> "Any":
         """Sweep batching policies for ``spec`` and pick the SLO-optimal one.
 
-        Thin wrapper over :func:`repro.serve.tune.tune_policy`: every
-        grid point routes through :meth:`serve`, so a repeated tune of
-        the same deployment is served entirely from the report cache.
-        ``slo_wait_p95_ms`` additionally bounds the fleet's p95 *queue
-        wait* — a policy can meet end-to-end p99 while still parking
-        frames in the queue (large batches, long coalescing windows);
-        the wait bound rules those out.  Returns a
-        :class:`repro.serve.tune.TuneResult`.
+        :func:`repro.serve.tune.tune_policy` over this session: every
+        point routes through :meth:`serve`, so a repeated tune is served
+        entirely from the report cache.
         """
-        from repro.serve.tune import (
-            DEFAULT_BATCH_SIZES,
-            DEFAULT_MAX_WAITS_MS,
-            tune_policy,
-        )
+        from repro.serve.tune import tune_policy
 
         return tune_policy(
             self,
             spec,
             slo_p99_ms=slo_p99_ms,
             slo_wait_p95_ms=slo_wait_p95_ms,
-            batch_sizes=DEFAULT_BATCH_SIZES if batch_sizes is None else batch_sizes,
-            max_waits_ms=DEFAULT_MAX_WAITS_MS if max_waits_ms is None else max_waits_ms,
+            batch_sizes=batch_sizes,
+            max_waits_ms=max_waits_ms,
             use_cache=use_cache,
             on_progress=on_progress,
             workers=workers,

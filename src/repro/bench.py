@@ -276,11 +276,12 @@ def bench_tune_sweep(
     The baseline re-runs the full engine for every grid point — the
     pre-compute/timing-split behavior.  The fast side is a cold
     ``tune_policy`` sweep over the same grid with a fresh cache: grid
-    dedupe collapses the inert ``max_wait_ms`` axis at batch size 1, the
-    first cold point records the shared compute trace, and the remaining
-    points replay it across ``workers`` processes.  Both sides run in
-    this process on this machine, so the ``speedup`` ratio transfers
-    across CI runners and is gated like the kernel ratios.
+    dedupe collapses the inert ``max_wait_ms`` axis at batch size 1, cold
+    points record the shared compute trace in-process until one sheds
+    nothing or replays it without going live, and the remaining points
+    replay it across ``workers`` processes.  Both sides run in this
+    process on this machine, so the ``speedup`` ratio transfers across
+    CI runners and is gated like the kernel ratios.
     """
     import tempfile
     from dataclasses import replace

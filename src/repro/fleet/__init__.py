@@ -19,7 +19,9 @@ scales it sideways without surrendering any of its guarantees:
   ``DetectionServer``;
 * :mod:`~repro.fleet.server` — the fleet front over that loop and its
   cacheable :class:`FleetReport`;
-* :mod:`~repro.fleet.tune` — the cheapest static fleet meeting an SLO.
+* :mod:`~repro.fleet.tune` — the cheapest static fleet meeting an SLO,
+  the fleet front of the one sweep driver in :mod:`repro.serve.tune`
+  (results are :class:`~repro.serve.tune.TuneResult`\\ s).
 
 Determinism carries over verbatim: per-frame detections are keyed by
 ``(model, seed, sequence, frame)``, so a 1-replica fleet is the bare
@@ -42,12 +44,7 @@ from repro.fleet.server import (
     FleetServer,
 )
 from repro.fleet.spec import FLEET_SPEC_FORMAT, AutoscalerPolicy, FleetSpec
-from repro.fleet.tune import (
-    DEFAULT_REPLICA_COUNTS,
-    FleetCandidate,
-    FleetTuneResult,
-    tune_fleet,
-)
+from repro.fleet.tune import DEFAULT_REPLICA_COUNTS, tune_fleet
 
 __all__ = [
     "ACTIVE",
@@ -58,13 +55,11 @@ __all__ = [
     "Decision",
     "FLEET_REPORT_FORMAT",
     "FLEET_SPEC_FORMAT",
-    "FleetCandidate",
     "FleetReport",
     "FleetReportStore",
     "FleetRouter",
     "FleetServer",
     "FleetSpec",
-    "FleetTuneResult",
     "LoopResult",
     "PLACEMENT_POLICIES",
     "RETIRED",

@@ -1,121 +1,25 @@
 """Fleet tuning: the cheapest static fleet that meets the SLO.
 
-The fleet sibling of :mod:`repro.serve.tune`: sweep replica count x
-device mix x batch size, evaluate every point through
-:meth:`repro.api.session.Session.serve_fleet` (each point is its own
-fingerprinted :class:`~repro.fleet.spec.FleetSpec`, so revisits — and
-whole re-tunes — are pure cache hits), and pick the *cheapest feasible*
-fleet:
-
-* **feasible** — fleet p99 meets the target, nothing was shed, and no
-  stream starved (``dead_streams`` empty: a fleet that parks a camera
-  forever is not serving it);
-* **cheapest** — least :attr:`~repro.fleet.server.FleetReport.
-  cost_per_frame`, i.e. allocated replica-time priced at each device's
-  hourly rate per served frame.  Unlike the single-server tuner's
-  busy-time objective, allocation cost punishes over-provisioning: an
-  idle replica still bills.  Ties break toward fewer replicas, then
-  lower p99.
-
-The swept points are *static* fleets (no autoscaler) — the sweep answers
-"how big must a fixed fleet be"; comparing the winner against an
-autoscaled run of the same spec is exactly the experiment
-``repro fleet run`` + ``repro fleet tune`` enable.
+The fleet front of the sweep driver in :mod:`repro.serve.tune`: sweep
+replica count x device mix x batch size through
+:meth:`repro.api.session.Session.serve_fleet` and pick the feasible
+fleet with the least :attr:`~repro.fleet.server.FleetReport.
+cost_per_frame` (allocated replica-time, so an idle replica still
+bills); ties break toward fewer replicas, then lower p99.  The points
+are *static* fleets (no autoscaler): the sweep answers "how big must a
+fixed fleet be", to compare against an autoscaled ``repro fleet run``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence as Seq, Tuple
+from dataclasses import replace
+from typing import Callable, Optional, Sequence as Seq, Tuple
 
-from repro.fleet.server import FleetReport
 from repro.fleet.spec import FleetSpec
+from repro.serve.tune import TuneResult, _tune
 
 #: Default replica-count axis of the sweep.
 DEFAULT_REPLICA_COUNTS = (1, 2, 3, 4)
-
-
-@dataclass(frozen=True)
-class FleetCandidate:
-    """One evaluated fleet shape of a tuning sweep."""
-
-    spec: FleetSpec
-    report: FleetReport
-    feasible: bool
-
-    @property
-    def p99_ms(self) -> float:
-        return float(self.report.slo["fleet"]["p99_ms"])
-
-    @property
-    def cost_per_frame(self) -> float:
-        return self.report.cost_per_frame
-
-    def sort_key(self):
-        return (
-            self.cost_per_frame,
-            self.spec.replicas,
-            self.p99_ms,
-            self.spec.policy.max_batch_size,
-        )
-
-
-@dataclass
-class FleetTuneResult:
-    """Outcome of one fleet sweep (``best`` is ``None`` when infeasible)."""
-
-    slo_p99_ms: float
-    candidates: List[FleetCandidate]
-    best: Optional[FleetCandidate]
-
-    def format(self) -> str:
-        from repro.harness.tables import format_table
-
-        rows = []
-        for cand in self.candidates:
-            marker = ""
-            if cand is self.best:
-                marker = "<= best"
-            elif cand.feasible:
-                marker = "ok"
-            cpf = cand.cost_per_frame
-            rows.append(
-                [
-                    cand.spec.replicas,
-                    "+".join(cand.spec.devices),
-                    cand.spec.policy.max_batch_size,
-                    cand.p99_ms,
-                    cand.report.frames_shed,
-                    len(cand.report.dead_streams),
-                    cand.report.replica_seconds,
-                    None if not math.isfinite(cpf) else cpf * 1e3,
-                    marker,
-                ]
-            )
-        table = format_table(
-            ["replicas", "devices", "batch", "p99(ms)", "shed", "dead",
-             "repl-s", "cost/kf", ""],
-            rows,
-            precision=3,
-            title=f"Fleet sweep — SLO p99 <= {self.slo_p99_ms:.0f} ms",
-        )
-        if self.best is None:
-            verdict = (
-                f"no swept fleet meets p99 <= {self.slo_p99_ms:.0f} ms "
-                "without shedding or starving a stream — "
-                "widen the sweep or relax the SLO"
-            )
-        else:
-            spec = self.best.spec
-            verdict = (
-                f"best fleet: {spec.replicas} replica(s) on "
-                f"{'+'.join(spec.devices)}, "
-                f"max_batch_size={spec.policy.max_batch_size} "
-                f"(p99 {self.best.p99_ms:.1f} ms, "
-                f"cost/frame {self.best.cost_per_frame:.6f})"
-            )
-        return f"{table}\n{verdict}"
 
 
 def tune_fleet(
@@ -123,110 +27,49 @@ def tune_fleet(
     spec: FleetSpec,
     *,
     slo_p99_ms: float,
-    replica_counts: Seq[int] = DEFAULT_REPLICA_COUNTS,
+    replica_counts: Optional[Seq[int]] = None,
     device_mixes: Optional[Seq[Tuple[str, ...]]] = None,
     batch_sizes: Optional[Seq[int]] = None,
     use_cache: bool = True,
     on_progress: Optional[Callable[[int, int, str], None]] = None,
     workers: Optional[int] = None,
-) -> FleetTuneResult:
+) -> TuneResult:
     """Sweep static fleet shapes and pick the cheapest feasible one.
 
     Every point is ``spec`` with its ``replicas`` / ``devices`` /
-    ``policy.max_batch_size`` replaced and the autoscaler removed — the
-    system, dataset, load, placement and remaining policy knobs are held
-    fixed, so the sweep isolates the capacity question.
-
-    Parameters
-    ----------
-    session:
-        A :class:`repro.api.session.Session` (supplies the report cache).
-    spec:
-        The base fleet to size.
-    slo_p99_ms:
-        Feasibility target for the fleet p99 end-to-end latency.
-    replica_counts:
-        Replica-count axis.
-    device_mixes:
-        Device-cycle axis; defaults to just ``spec.devices``.
-    batch_sizes:
-        Batching axis; defaults to just ``spec.policy.max_batch_size``.
-    on_progress:
-        Optional ``callback(done, total, label)`` per evaluated point —
-        grid order when serial, completion order under ``workers``.
-    workers:
-        Evaluate cold grid points in ``workers`` processes sharing the
-        session's cache (``0`` = one per core, ``None``/``1`` = serial);
-        all fleet shapes of one deployment replay a single compute
-        trace, so results are identical at any worker count.
+    ``policy.max_batch_size`` replaced (axes default to
+    :data:`DEFAULT_REPLICA_COUNTS`, ``spec.devices`` and its batch size)
+    and the autoscaler removed.  ``on_progress`` and ``workers`` are as
+    in :func:`~repro.serve.tune.tune_policy`.
     """
-    if slo_p99_ms <= 0:
-        raise ValueError(f"slo_p99_ms must be positive, got {slo_p99_ms}")
-    if not replica_counts:
+    counts = DEFAULT_REPLICA_COUNTS if replica_counts is None else replica_counts
+    if not counts:
         raise ValueError("replica_counts must be non-empty")
-    mixes: List[Tuple[str, ...]] = (
-        [tuple(spec.devices)]
-        if device_mixes is None
-        else [tuple(m) for m in device_mixes]
-    )
-    batches: List[int] = (
-        [spec.policy.max_batch_size]
-        if batch_sizes is None
-        else [int(b) for b in batch_sizes]
-    )
+    mixes = [tuple(spec.devices)] if device_mixes is None else [tuple(m) for m in device_mixes]
+    batches = [spec.policy.max_batch_size] if batch_sizes is None else batch_sizes
     if not mixes or not batches:
         raise ValueError("device_mixes and batch_sizes must be non-empty")
     grid = [
-        (int(count), mix, batch)
-        for count in replica_counts
-        for mix in mixes
-        for batch in batches
-    ]
-    from repro.serve.tune import sweep_reports
-
-    points: List[FleetSpec] = []
-    labels: List[str] = []
-    for count, mix, batch in grid:
-        points.append(
+        (
             replace(
                 spec,
                 replicas=count,
                 devices=mix,
                 autoscaler=None,
                 policy=replace(spec.policy, max_batch_size=batch),
-            )
+            ),
+            f"replicas={count} devices={'+'.join(mix)} batch={batch}",
         )
-        labels.append(f"replicas={count} devices={'+'.join(mix)} batch={batch}")
-
-    done = 0
-
-    def progress(label: str) -> None:
-        nonlocal done
-        done += 1
-        if on_progress is not None:
-            on_progress(done, len(grid), label)
-
-    reports = sweep_reports(
+        for count in map(int, counts)
+        for mix in mixes
+        for batch in map(int, batches)
+    ]
+    return _tune(
         session,
         "fleet",
-        points,
-        labels,
+        grid,
+        slo_p99_ms=slo_p99_ms,
         use_cache=use_cache,
+        on_progress=on_progress,
         workers=workers,
-        progress=progress,
-    )
-    candidates: List[FleetCandidate] = []
-    for point, report in zip(points, reports):
-        feasible = (
-            float(report.slo["fleet"]["p99_ms"]) <= slo_p99_ms
-            and report.frames_shed == 0
-            and not report.dead_streams
-        )
-        candidates.append(
-            FleetCandidate(spec=point, report=report, feasible=feasible)
-        )
-    feasible = [c for c in candidates if c.feasible]
-    best = min(feasible, key=FleetCandidate.sort_key) if feasible else None
-    return FleetTuneResult(
-        slo_p99_ms=slo_p99_ms, candidates=candidates, best=best
     )

@@ -23,7 +23,11 @@ per-frame detections stay byte-identical to the offline serial path.
 Because simulated operating points are cached, policy search is cheap:
 :func:`~repro.serve.tune.tune_policy` (CLI ``repro serve --tune``)
 sweeps ``(max_batch_size, max_wait_ms)`` grids and picks the cheapest
-policy meeting a p99 latency target.
+policy meeting a p99 latency target.  :mod:`repro.serve.tune` owns the
+one sweep driver (also behind :func:`repro.fleet.tune.tune_fleet`), its
+:class:`~repro.serve.tune.PolicyCandidate` /
+:class:`~repro.serve.tune.TuneResult` and the feasibility rule
+:func:`~repro.serve.tune.slo_failures` the CLI's SLO gate applies too.
 """
 
 from repro.serve.batcher import MicroBatcher, QueuedFrame
@@ -42,7 +46,7 @@ from repro.serve.server import (
     ServiceModel,
 )
 from repro.serve.slo import LatencyStats, SLOAccount
-from repro.serve.tune import PolicyCandidate, TuneResult, tune_policy
+from repro.serve.tune import PolicyCandidate, TuneResult, slo_failures, tune_policy
 
 __all__ = [
     "DetectionServer",
@@ -61,5 +65,6 @@ __all__ = [
     "SLOAccount",
     "TuneResult",
     "generate_load",
+    "slo_failures",
     "tune_policy",
 ]

@@ -304,6 +304,22 @@ class ServeReport(ServedTotals):
             else 0.0
         )
 
+    @property
+    def cost_per_frame(self) -> float:
+        """Engine-busy time priced at the device's hourly rate, per frame.
+
+        ``compute_seconds`` converted to money through the service's
+        :class:`~repro.cost.DeviceProfile` ``cost_per_hour`` and
+        amortized over served frames (``inf`` when nothing was served).
+        A fleet prices *allocated* replica-time instead — see
+        :attr:`repro.fleet.server.FleetReport.cost_per_frame`.  Not
+        serialized: it is derived from fields :meth:`to_dict` keeps.
+        """
+        if not self.frames_served:
+            return float("inf")
+        rate = self.service.cost_model().profile.cost_per_second
+        return self.compute_seconds * rate / self.frames_served
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "format": REPORT_FORMAT,

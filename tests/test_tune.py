@@ -8,14 +8,16 @@ infeasible ones as such, and serve a complete re-tune from the cache.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
 from repro.api.session import Session
 from repro.api.spec import DatasetSpec, ServeSpec
 from repro.core.config import SystemConfig
+from repro.fleet import FleetSpec
 from repro.serve import LoadSpec, ServePolicy, ServiceModel
-from repro.serve.tune import sweep_reports, tune_policy
+from repro.serve.tune import slo_failures, sweep_reports, tune_policy
 
 SLO_P99_MS = 300.0
 BATCH_GRID = (1, 8)
@@ -34,6 +36,37 @@ def _base_spec():
         # per frame against a 100 ms per-stream inter-arrival — saturated.
         service=ServiceModel(invocation_overhead_ms=50.0, gops_per_second=1e6),
     )
+
+
+def _fleet_spec():
+    base = _base_spec()
+    return FleetSpec(
+        system=base.system,
+        dataset=base.dataset,
+        load=base.load,
+        policy=base.policy,
+        devices=("edge",),
+    )
+
+
+#: Both tuners over a small grid, plus the progress labels of its points.
+SWEEPS = {
+    "serve": (
+        lambda session, **kw: session.tune_serve(
+            _base_spec(), slo_p99_ms=SLO_P99_MS,
+            batch_sizes=BATCH_GRID, max_waits_ms=WAIT_GRID, **kw,
+        ),
+        {f"batch={b} wait={w:g}ms" for b in BATCH_GRID for w in WAIT_GRID},
+    ),
+    "fleet": (
+        lambda session, **kw: session.tune_fleet(
+            # Edge replicas are slower: two of them meet a 1 s target.
+            _fleet_spec(), slo_p99_ms=1000.0,
+            replica_counts=(1, 2), batch_sizes=BATCH_GRID, **kw,
+        ),
+        {f"replicas={r} devices=edge batch={b}" for r in (1, 2) for b in BATCH_GRID},
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -188,38 +221,48 @@ class TestGridDedupe:
         assert "= batch=1 wait=0ms" in result.format()
 
 
+    def test_repeated_fleet_axis_value_is_an_alias(self, tmp_path):
+        """Dedupe covers fleet sweeps: a repeated replica count is the
+        same fleet, simulated once and marked an alias of the first."""
+        session = Session(cache_dir=tmp_path / "cache")
+        seen = []
+        result = session.tune_fleet(
+            _fleet_spec(),
+            slo_p99_ms=1000.0,
+            replica_counts=(1, 1, 2),
+            on_progress=lambda done, total, label: seen.append(label),
+        )
+        label = "replicas=1 devices=edge batch=8"
+        first, repeat, other = result.candidates
+        assert repeat.alias_of == label
+        assert first.alias_of is None and other.alias_of is None
+        assert repeat.report is first.report
+        assert session.cache_misses == 2
+        assert seen[1] == f"{label} (= {label})"
+        assert f"= {label}" in result.format()
+
+
 class TestParallelSweep:
-    def test_workers_match_serial_byte_for_byte(self, tmp_path):
-        serial_session = Session(cache_dir=tmp_path / "a")
-        serial = serial_session.tune_serve(
-            _base_spec(),
-            slo_p99_ms=SLO_P99_MS,
-            batch_sizes=BATCH_GRID,
-            max_waits_ms=WAIT_GRID,
-        )
-        par_session = Session(cache_dir=tmp_path / "b")
-        par = par_session.tune_serve(
-            _base_spec(),
-            slo_p99_ms=SLO_P99_MS,
-            batch_sizes=BATCH_GRID,
-            max_waits_ms=WAIT_GRID,
-            workers=2,
-        )
+    @pytest.mark.parametrize("kind", sorted(SWEEPS))
+    def test_workers_match_serial_byte_for_byte(self, tmp_path, kind):
+        sweep, _ = SWEEPS[kind]
+        serial = sweep(Session(cache_dir=tmp_path / "a"))
+        par = sweep(Session(cache_dir=tmp_path / "b"), workers=2)
+        assert serial.best is not None
         assert par.best.spec.fingerprint == serial.best.spec.fingerprint
         for a, b in zip(serial.candidates, par.candidates):
             assert a.spec.fingerprint == b.spec.fingerprint
             assert a.feasible == b.feasible
             assert a.alias_of == b.alias_of
             assert a.report.to_dict() == b.report.to_dict()
+        assert par.format() == serial.format()
 
-    def test_parallel_progress_covers_every_point_once(self, tmp_path):
-        session = Session(cache_dir=tmp_path / "cache")
+    @pytest.mark.parametrize("kind", sorted(SWEEPS))
+    def test_parallel_progress_covers_every_point_once(self, tmp_path, kind):
+        sweep, labels = SWEEPS[kind]
         seen = []
-        session.tune_serve(
-            _base_spec(),
-            slo_p99_ms=SLO_P99_MS,
-            batch_sizes=BATCH_GRID,
-            max_waits_ms=WAIT_GRID,
+        sweep(
+            Session(cache_dir=tmp_path / "cache"),
             workers=2,
             on_progress=lambda done, total, label: seen.append(
                 (done, total, label)
@@ -228,10 +271,7 @@ class TestParallelSweep:
         # As-completed ordering, but the counter is dense and total fixed.
         assert [d for d, _, _ in seen] == [1, 2, 3, 4]
         assert all(t == 4 for _, t, _ in seen)
-        labels = {label.split(" (= ")[0] for _, _, label in seen}
-        assert labels == {
-            f"batch={b} wait={w:g}ms" for b in BATCH_GRID for w in WAIT_GRID
-        }
+        assert {label.split(" (= ")[0] for _, _, label in seen} == labels
 
     def test_parallel_retune_is_serial_cache_hits(self, tmp_path):
         """A warm re-tune never spawns a pool: every unique point is
@@ -340,3 +380,38 @@ class TestQueueWaitBound:
             tune_policy(
                 session, _base_spec(), slo_p99_ms=100.0, slo_wait_p95_ms=0.0
             )
+
+
+def _report(p99=100.0, wait_p95=5.0, shed=0, **extra):
+    return SimpleNamespace(
+        slo={"fleet": {"p99_ms": p99, "wait_p95_ms": wait_p95}},
+        frames_shed=shed,
+        **extra,
+    )
+
+
+@pytest.mark.parametrize(
+    "report, wait_bound, expected",
+    [
+        (_report(), None, []),
+        (_report(p99=450.0), None, ["p99 450.0 ms > target 300 ms"]),
+        (_report(shed=3), None, ["3 frame(s) shed under the offered load"]),
+        (_report(wait_p95=50.0), None, []),
+        (_report(wait_p95=50.0), 10.0, ["queue-wait p95 50.0 ms > target 10 ms"]),
+        (_report(dead_streams=[]), None, []),
+        (_report(dead_streams=["cam1", "cam2"]), None, ["2 dead stream(s): cam1, cam2"]),
+        (
+            _report(p99=301.0, shed=1, wait_p95=11.0, dead_streams=["cam0"]),
+            10.0,
+            [
+                "p99 301.0 ms > target 300 ms",
+                "1 frame(s) shed under the offered load",
+                "queue-wait p95 11.0 ms > target 10 ms",
+                "1 dead stream(s): cam0",
+            ],
+        ),
+    ],
+)
+def test_slo_failures_names_every_broken_bound(report, wait_bound, expected):
+    """The one feasibility rule behind both tuners and the CLI's SLO gate."""
+    assert slo_failures(report, 300.0, wait_bound) == expected
