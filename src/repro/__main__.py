@@ -1025,6 +1025,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"vs {overhead['plain_fps']:.1f} fps plain "
             f"(ratio {overhead['ratio']:.3f})"
         )
+    paper = payload.get("paper_e2e")
+    if paper is not None:
+        print(
+            f"paper_e2e: {paper['speedup']:.2f}x, one session "
+            f"{paper['shared_seconds']:.2f}s vs a session per point "
+            f"{paper['per_point_seconds']:.2f}s ({paper['grid_points']} points)"
+        )
 
     if not args.no_write:
         path = write_bench(root, payload)

@@ -113,12 +113,17 @@ class EntryStore:
             return None
 
     def _write(self, fingerprint: str, payload: Dict[str, Any]) -> Path:
-        """Atomically write ``payload`` as the entry for ``fingerprint``."""
+        """Atomically write ``payload`` as the entry for ``fingerprint``.
+
+        ``json.dumps`` then one write, not ``json.dump``: CPython's C
+        encoder serves only the one-shot ``dumps`` path, and the bytes are
+        the same either way.
+        """
         path = self.path_for(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, allow_nan=True)
+            fh.write(json.dumps(payload, allow_nan=True))
         os.replace(tmp, path)
         return path
 

@@ -13,6 +13,9 @@ revisited operating points (the Figure-6 grid, tuning searches, repeated
 table regenerations) load from disk bit-identical instead of recomputing.
 ``run_many`` additionally dedupes identical specs before scheduling, so a
 grid with repeated points costs one computation per distinct fingerprint.
+Points that are computed in-process share full-frame detector draws (see
+:class:`~repro.simdet.detector.DrawMemo`): a sweep over C-thresh samples
+each proposal network once per frame, not once per point.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.datasets.types import Dataset
 from repro.harness.experiment import ExperimentResult
 from repro.metrics.evaluate import evaluate_dataset
 from repro.metrics.kitti_eval import DIFFICULTIES, HARD, MODERATE, DifficultyFilter
+from repro.simdet.detector import DrawMemo
 
 
 def make_spec_executor(exec_spec: ExecSpec):
@@ -60,6 +64,19 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
     )
 
 
+def _count_draws(shared: int, sampled: int) -> None:
+    """Per-run draw-sharing counters (one registry touch per computed run)."""
+    from repro.obs.registry import default_registry
+
+    registry = default_registry()
+    registry.counter(
+        "simdet_draws_shared_total", "full-frame draws served from a Session's draw memo"
+    ).inc(shared)
+    registry.counter(
+        "simdet_draws_sampled_total", "full-frame draws sampled through a Session's draw memo"
+    ).inc(sampled)
+
+
 class Session:
     """Runs experiment specs through a content-addressed result cache.
 
@@ -68,6 +85,14 @@ class Session:
     cache_dir:
         Directory for the on-disk result cache; ``None`` disables
         caching (every run computes).
+
+    Computed runs share full-frame detector draws through one bounded
+    :class:`~repro.simdet.detector.DrawMemo` that lives as long as the
+    session: points of a sweep that use the same proposal network on the
+    same dataset sample each frame once.  Draws are never shared across
+    sessions or processes (parallel executors build their systems in
+    worker processes, which sample their own).  Outputs are identical
+    either way.
     """
 
     def __init__(self, cache_dir: Optional[Union[str, Path]] = None):
@@ -83,6 +108,7 @@ class Session:
         self.trace_hits = 0
         self.trace_misses = 0
         self.frames_replayed = 0
+        self._draws = DrawMemo()
 
     def _dataset_fingerprint(self, dataset: Dataset) -> str:
         entry = self._dataset_fp_memo.get(id(dataset))
@@ -515,7 +541,12 @@ class Session:
         # A miss pays for dataset construction only now — warm sessions in
         # fresh processes skip world generation entirely.
         dataset = dataset_fn()
-        run = run_on_dataset(config, dataset, executor=executor, on_progress=on_progress)
+        draws = self._draws
+        shared, sampled = draws.shared, draws.sampled
+        run = run_on_dataset(
+            config, dataset, executor=executor, on_progress=on_progress, draws=draws
+        )
+        _count_draws(draws.shared - shared, draws.sampled - sampled)
         evaluations = {
             diff.name: evaluate_dataset(
                 dataset, run.detections_by_sequence, diff, with_delay=with_delay

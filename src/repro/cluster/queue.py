@@ -293,7 +293,8 @@ class FileWorkQueue:
     def _write_json(self, path: Path, payload: Dict[str, Any]) -> Path:
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{uuid.uuid4().hex[:6]}")
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, allow_nan=True)
+            # dumps, not dump: only the one-shot path uses the C encoder.
+            fh.write(json.dumps(payload, allow_nan=True))
         os.replace(tmp, path)
         return path
 

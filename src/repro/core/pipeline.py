@@ -9,6 +9,7 @@ from repro.core.config import SystemConfig, build_system
 from repro.core.results import SystemRunResult
 from repro.core.systems import DetectionSystem
 from repro.datasets.types import Dataset
+from repro.simdet.detector import DrawMemo
 
 
 def run_on_dataset(
@@ -19,6 +20,7 @@ def run_on_dataset(
     workers: Optional[int] = 1,
     executor: Optional["engine_scheduler.SequenceExecutor"] = None,
     on_progress: Optional["engine_scheduler.ProgressFn"] = None,
+    draws: Optional[DrawMemo] = None,
 ) -> SystemRunResult:
     """Process every sequence of ``dataset`` with ``system``.
 
@@ -43,6 +45,12 @@ def run_on_dataset(
     on_progress:
         Optional ``callback(done, total, sequence_name)`` fired as each
         sequence finishes (completion order under parallel executors).
+    draws:
+        Optional :class:`~repro.simdet.detector.DrawMemo` the system's
+        detectors share full-frame draws through for this run, so runs
+        of several systems on one dataset sample each draw once.  Used
+        only when the system runs in this process (a serial executor);
+        draws never cross a process boundary.
 
     Returns
     -------
@@ -62,12 +70,23 @@ def run_on_dataset(
     sequences = dataset.sequences
     if max_sequences is not None:
         sequences = sequences[:max_sequences]
-    if on_progress is None:
-        # Keep the bare call so executors predating the progress protocol
-        # (third-party map_sequences implementations) keep working.
-        seq_results = executor.map_sequences(system, sequences)
-    else:
-        seq_results = executor.map_sequences(system, sequences, on_progress=on_progress)
+    detectors = ()
+    if draws is not None and isinstance(system, DetectionSystem) and isinstance(
+        executor, engine_scheduler.SerialExecutor
+    ):
+        detectors = system._detectors()
+    for detector in detectors:
+        detector.draws = draws
+    try:
+        if on_progress is None:
+            # Keep the bare call so executors predating the progress protocol
+            # (third-party map_sequences implementations) keep working.
+            seq_results = executor.map_sequences(system, sequences)
+        else:
+            seq_results = executor.map_sequences(system, sequences, on_progress=on_progress)
+    finally:
+        for detector in detectors:
+            detector.draws = None
     for sequence, seq_result in zip(sequences, seq_results):
         result.sequences[sequence.name] = seq_result
     return result

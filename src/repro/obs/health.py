@@ -104,7 +104,8 @@ class HealthReporter:
             self.directory.mkdir(parents=True, exist_ok=True)
             tmp = self.path.with_suffix(f".tmp.{os.getpid()}")
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(record, fh)
+                # dumps, not dump: only the one-shot path uses the C encoder.
+                fh.write(json.dumps(record))
             os.replace(tmp, self.path)
         except OSError:
             return False

@@ -1,10 +1,12 @@
 """Session facade: cache correctness (bit-identical hits), dedupe, shims."""
 
+import json
+
 import numpy as np
 import pytest
 
 import repro.core.pipeline as pipeline_mod
-from repro.api.cache import ResultCache, fingerprint_dataset
+from repro.api.cache import EntryStore, ResultCache, fingerprint_dataset
 from repro.api.session import Session, build_dataset
 from repro.api.spec import DatasetSpec, EvalSpec, ExecSpec, ExperimentSpec
 from repro.core.config import SystemConfig
@@ -218,3 +220,23 @@ class TestResultCacheUnit:
         assert spec.fingerprint not in ResultCache(tmp_path)
         session.run(spec)
         assert spec.fingerprint in ResultCache(tmp_path)
+
+    def test_entry_bytes_are_one_shot_dumps(self, tmp_path):
+        payload = {"values": [float("nan"), float("inf"), -float("inf"), 0.1, 3]}
+        store = EntryStore(tmp_path)
+        path = store._write("ab" * 32, payload)
+        assert path.read_bytes() == json.dumps(payload, allow_nan=True).encode("utf-8")
+        loaded = store._read("ab" * 32, "values", list)
+        assert np.isnan(loaded[0]) and loaded[1:] == payload["values"][1:]
+
+    def test_entry_written_with_json_dump_still_loads(self, tmp_path):
+        session = Session(cache_dir=tmp_path)
+        spec = _spec()
+        fresh = session.run(spec)
+        path = session.cache.path_for(spec.fingerprint)
+        written = path.read_bytes()
+        payload = json.loads(written)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, allow_nan=True)
+        assert path.read_bytes() == written
+        _assert_bit_identical(ResultCache(tmp_path).load(spec.fingerprint), fresh)

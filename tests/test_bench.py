@@ -74,6 +74,15 @@ class TestRegressionCheck:
         # Baselines predating the metric never gate it.
         assert bench.check_regression(slower, _payload()) == []
 
+    def test_paper_e2e_ratio_is_gated(self):
+        assert "paper_e2e.speedup" in bench.GATED_METRICS
+        base = {"paper_e2e": {"speedup": 1.4}}
+        slower = {"paper_e2e": {"speedup": 1.0}}
+        failures = bench.check_regression(slower, base, tolerance=0.2)
+        assert len(failures) == 1
+        assert "paper_e2e" in failures[0]
+        assert bench.check_regression(slower, _payload()) == []
+
 
 class TestKernelBench:
     def test_tiny_run_has_all_kernels_and_positive_rates(self):
@@ -103,6 +112,12 @@ class TestBenchCommand:
                     "tracker_catdet": {"speedup": 2.5},
                     "tracker_sort": {"speedup": 2.2},
                 },
+                "paper_e2e": {
+                    "speedup": 1.4,
+                    "shared_seconds": 1.0,
+                    "per_point_seconds": 1.4,
+                    "grid_points": 13,
+                },
             }
 
         monkeypatch.setattr(bench, "run_bench", fake_run_bench)
@@ -110,7 +125,9 @@ class TestBenchCommand:
     def test_writes_next_entry(self, stubbed, tmp_path, capsys):
         assert main(["bench", "--quick", "--output-dir", str(tmp_path)]) == 0
         assert (tmp_path / "BENCH_1.json").exists()
-        assert "tracker_catdet" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "tracker_catdet" in out
+        assert "paper_e2e: 1.40x" in out
 
     def test_no_write_leaves_directory_empty(self, stubbed, tmp_path):
         assert main(["bench", "--no-write", "--output-dir", str(tmp_path)]) == 0
