@@ -1032,6 +1032,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"{paper['shared_seconds']:.2f}s vs a session per point "
             f"{paper['per_point_seconds']:.2f}s ({paper['grid_points']} points)"
         )
+    rows = [[name, f"{e['host_us_per_frame']:.0f}", f"{e['device_us_per_frame']:.0f}"]
+            for name, e in payload.get("serve_e2e", {}).items()]
+    if rows:
+        print(format_table(["serve_e2e", "host us/frame", "device us/frame"], rows))
 
     if not args.no_write:
         path = write_bench(root, payload)

@@ -410,6 +410,39 @@ def bench_paper_e2e(
     }
 
 
+def bench_serve_e2e(
+    streams: Tuple[int, ...] = (8, 64),
+    on_progress: Optional[Callable[[str], None]] = None,
+) -> Dict[str, Any]:
+    """Host wall µs per served frame (median of 3 cold servers) beside the
+    modelled :class:`~repro.serve.ServiceModel` device µs, unbatched and in
+    batches of up to 8.  Neither is gated: host µs depend on the machine."""
+    from repro.engine.scheduler import effective_cpu_count
+    from repro.serve import DetectionServer, LoadSpec, ServePolicy, ServiceModel, generate_load
+
+    system = SystemConfig("catdet", "resnet50", "resnet10a", detailed_ops=False)
+    service = ServiceModel.for_device("datacenter")
+    out: Dict[str, Any] = {}
+    for n in streams:
+        load = LoadSpec(pattern="poisson", num_streams=n, rate_hz=2.0, frames_per_stream=10)
+        requests = generate_load(load, kitti_like_dataset(num_sequences=n, frames_per_sequence=10))
+        for batch in (1, 8):
+            if on_progress:
+                on_progress(f"serve_e2e {n} streams, batch {batch}")
+            policy = ServePolicy(max_batch_size=batch, max_wait_ms=25.0, queue_capacity=1024)
+            reports = [
+                DetectionServer(system, policy=policy, service=service).run(requests)
+                for _ in range(3)
+            ]
+            frames = max(reports[0].frames_served, 1)
+            out[f"streams_{n}_batch_{batch}"] = {
+                "cpus": effective_cpu_count(),
+                "host_us_per_frame": statistics.median(r.wall_seconds for r in reports) / frames * 1e6,
+                "device_us_per_frame": reports[0].compute_seconds / frames * 1e6,
+            }
+    return out
+
+
 def run_bench(
     quick: bool = False,
     num_tracks: int = 60,
@@ -437,6 +470,7 @@ def run_bench(
     # same reason the kernel workloads are: their speedup ratios are gated.
     tune_sweep = bench_tune_sweep(on_progress=on_progress)
     paper_e2e = bench_paper_e2e(on_progress=on_progress)
+    serve_e2e = bench_serve_e2e(on_progress=on_progress)
     return {
         "schema": 1,
         "quick": quick,
@@ -452,6 +486,7 @@ def run_bench(
         "obs_overhead": obs_overhead,
         "tune_sweep": tune_sweep,
         "paper_e2e": paper_e2e,
+        "serve_e2e": serve_e2e,
     }
 
 

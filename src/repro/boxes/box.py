@@ -84,12 +84,7 @@ def center_size_to_boxes(cs: np.ndarray) -> np.ndarray:
 def clip_boxes(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
     """Clip boxes to the image rectangle ``[0, width] x [0, height]``."""
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    out = boxes.copy()
-    out[:, 0] = np.clip(out[:, 0], 0.0, width)
-    out[:, 2] = np.clip(out[:, 2], 0.0, width)
-    out[:, 1] = np.clip(out[:, 1], 0.0, height)
-    out[:, 3] = np.clip(out[:, 3], 0.0, height)
-    return out
+    return np.clip(boxes, 0.0, np.array([width, height, width, height], dtype=np.float64))
 
 
 def expand_boxes(boxes: np.ndarray, margin: float) -> np.ndarray:

@@ -37,7 +37,7 @@ def _union_area(boxes: np.ndarray) -> float:
     # covered[i, j]: any box with x1 <= cx[i] < x2 and y1 <= cy[j] < y2
     in_x = (boxes[:, None, 0] <= cx[None, :]) & (cx[None, :] < boxes[:, None, 2])  # (B, X)
     in_y = (boxes[:, None, 1] <= cy[None, :]) & (cy[None, :] < boxes[:, None, 3])  # (B, Y)
-    covered = np.einsum("bx,by->xy", in_x.astype(np.float64), in_y.astype(np.float64)) > 0
+    covered = in_x.T.astype(np.float64) @ in_y.astype(np.float64) > 0  # exact counts
     return float(np.sum(covered * dx[:, None] * dy[None, :]))
 
 
@@ -61,6 +61,7 @@ class RegionMask:
     height: float
     margin: float = 30.0
     _expanded: np.ndarray = field(init=False, repr=False)
+    _area: Optional[float] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -79,8 +80,10 @@ class RegionMask:
         return self._expanded
 
     def union_area(self) -> float:
-        """Exact area of the mask in square pixels."""
-        return _union_area(self._expanded)
+        """Exact area of the mask in square pixels (computed once)."""
+        if self._area is None:
+            self._area = _union_area(self._expanded)
+        return self._area
 
     def coverage_fraction(self) -> float:
         """Mask area as a fraction of the full image area, in [0, 1]."""

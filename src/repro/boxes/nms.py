@@ -6,15 +6,17 @@ duplicates of the same object must be collapsed (Figure 2d of the paper).
 
 The greedy :func:`nms` is fully array-level: boxes are reindexed into
 score order once, suppression is IoU-matrix row masking, and the only
-Python loop is over the *kept* boxes (``K`` iterations, not ``N`` — on
-detector outputs most boxes are suppressed duplicates).  Outputs are
-exactly those of the original per-box loop (see
-:mod:`repro.boxes.reference`), including tie order.
+Python loop visits the boxes that overlap a lower-ranked one (on
+detector outputs, a handful per frame).  Outputs are exactly those of
+the original per-box loop (see :mod:`repro.boxes.reference`),
+including tie order.  :func:`class_aware_nms` makes the same single
+pass over an IoU matrix masked to same-label pairs, rather than one
+pass per class.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -42,30 +44,7 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float = 0.5) -> np
         raise ValueError(
             f"boxes and scores must have equal length, got {boxes.shape[0]} and {scores.shape[0]}"
         )
-    if not (0.0 <= iou_threshold <= 1.0):
-        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
-    n = boxes.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
-
-    order = np.argsort(-scores, kind="stable")
-    ranked = boxes[order]
-    # Threshold the whole matrix once; the loop is then pure row masking.
-    over = iou_matrix(ranked, ranked) > iou_threshold
-    suppressed = np.zeros(n, dtype=bool)
-    keep = []
-    p = 0
-    while p < n:
-        keep.append(int(order[p]))
-        # Mask everything this box suppresses, in one row operation.
-        np.logical_or(suppressed, over[p], out=suppressed)
-        # Scan forward to the next surviving candidate.
-        p += 1
-        while p < n and suppressed[p]:
-            p += 1
-    return np.asarray(keep, dtype=np.int64)
+    return _greedy(boxes, scores, None, iou_threshold)
 
 
 def class_aware_nms(
@@ -77,26 +56,45 @@ def class_aware_nms(
     """NMS applied independently per class label.
 
     Returns kept indices into the original arrays (descending score within
-    each class, classes interleaved by global score order).  Classes are
-    sliced from one stable label-sorted permutation instead of rescanning
-    the label array once per class.
+    each class, classes interleaved by global score order).  One pass
+    in stable global score order over same-label pairs keeps exactly
+    what a per-class loop would: within a class the order is unchanged.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if not (boxes.shape[0] == scores.shape[0] == labels.shape[0]):
         raise ValueError("boxes, scores and labels must have equal length")
+    if boxes.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64)
+    return _greedy(boxes, scores, labels, iou_threshold)
+
+
+def _greedy(
+    boxes: np.ndarray, scores: np.ndarray, labels: Optional[np.ndarray], iou_threshold: float
+) -> np.ndarray:
+    """Greedy suppression in stable score order (within labels if given)."""
+    if not (0.0 <= iou_threshold <= 1.0):
+        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
     n = boxes.shape[0]
-    keep_mask = np.zeros(n, dtype=bool)
-    if n:
-        perm = np.argsort(labels, kind="stable")
-        sorted_labels = labels[perm]
-        splits = np.flatnonzero(sorted_labels[1:] != sorted_labels[:-1]) + 1
-        for cls_idx in np.split(perm, splits):
-            kept = nms(boxes[cls_idx], scores[cls_idx], iou_threshold)
-            keep_mask[cls_idx[kept]] = True
-    kept_all = np.flatnonzero(keep_mask)
-    return kept_all[np.argsort(-scores[kept_all], kind="stable")]
+    if n <= 1:
+        return np.zeros(n, dtype=np.int64)
+
+    order = np.argsort(-scores, kind="stable")
+    ranked = boxes[order]
+    # Threshold the whole matrix once.  Only a higher-ranked box can
+    # suppress a lower one, so the strict upper triangle is all that counts.
+    over = (iou_matrix(ranked, ranked) > iou_threshold) & (np.arange(n)[:, None] < np.arange(n))
+    if labels is not None:
+        ranked_labels = labels[order]
+        over &= ranked_labels[:, None] == ranked_labels[None, :]
+    suppressed = np.zeros(n, dtype=bool)
+    # Visit, in rank order, only the rows that suppress anything: the rest
+    # cannot change which boxes survive.
+    for p in np.flatnonzero(over.any(axis=1)):
+        if not suppressed[p]:
+            suppressed |= over[p]
+    return order[~suppressed]
 
 
 def soft_nms(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence as Seq, Tuple
 
@@ -132,9 +133,22 @@ class FrameAnnotations:
         return self.boxes.shape[0]
 
 
+#: A sequence's ground truth as read-only columns, one row per visible
+#: (track, frame) pair, grouped by frame in track order: frame ``f`` owns
+#: rows ``starts[f]:starts[f + 1]``, ``source`` maps a row into the tracks'
+#: concatenated arrays, and ``clipped`` holds the image-clipped boxes.
+FrameTable = namedtuple(
+    "FrameTable", "starts source boxes clipped labels track_ids occlusion truncation"
+)
+
+
 @dataclass
 class Sequence:
-    """One video sequence: image geometry, frame count and the track set."""
+    """One video sequence: image geometry, frame count and the track set.
+
+    Immutable once built: :meth:`frame_table` is derived from ``tracks``
+    on first use and kept, though never pickled.
+    """
 
     name: str
     width: int
@@ -156,36 +170,55 @@ class Sequence:
                     f"track {track.track_id} extends to frame {track.last_frame}, "
                     f"sequence has {self.num_frames} frames"
                 )
+        self._table: Optional[FrameTable] = None  # see frame_table()
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_table": None}
 
     @property
     def image_size(self) -> Tuple[int, int]:
         """``(width, height)``."""
         return self.width, self.height
 
+    def frame_table(self) -> FrameTable:
+        """The columnar per-frame ground truth, built on first use."""
+        if self._table is None:
+            tracks = self.tracks
+            frames = np.concatenate(
+                [np.zeros(0, dtype=np.int64)] + [t.first_frame + np.arange(t.length) for t in tracks]
+            )
+            source = np.argsort(frames, kind="stable")
+
+            def by_frame(per_track, empty):  # track-major rows, regrouped
+                return np.concatenate([empty] + per_track)[source]
+
+            ints = np.zeros(0, dtype=np.int64)
+            boxes = by_frame([t.boxes for t in tracks], np.zeros((0, 4)))
+            self._table = FrameTable(
+                np.searchsorted(frames[source], np.arange(self.num_frames + 1)),
+                source, boxes, clip_boxes(boxes, self.width, self.height),
+                by_frame([np.full(t.length, t.label, dtype=np.int64) for t in tracks], ints),
+                by_frame([np.full(t.length, t.track_id, dtype=np.int64) for t in tracks], ints),
+                by_frame([t.occlusion for t in tracks], np.zeros(0)),
+                by_frame([t.truncation for t in tracks], np.zeros(0)),
+            )
+            for column in self._table:
+                column.flags.writeable = False
+        return self._table
+
     def annotations(self, frame: int, *, clip: bool = True) -> FrameAnnotations:
         """Ground truth for one frame (boxes clipped to the image by default)."""
         if not (0 <= frame < self.num_frames):
             raise IndexError(f"frame {frame} out of range [0, {self.num_frames})")
-        boxes, labels, track_ids, occ, trunc = [], [], [], [], []
-        for track in self.tracks:
-            idx = track.frame_index(frame)
-            if idx is None:
-                continue
-            boxes.append(track.boxes[idx])
-            labels.append(track.label)
-            track_ids.append(track.track_id)
-            occ.append(track.occlusion[idx])
-            trunc.append(track.truncation[idx])
-        box_arr = np.stack(boxes) if boxes else np.zeros((0, 4))
-        if clip and box_arr.shape[0]:
-            box_arr = clip_boxes(box_arr, self.width, self.height)
+        table = self.frame_table()
+        rows = slice(table.starts[frame], table.starts[frame + 1])
         return FrameAnnotations(
             frame=frame,
-            boxes=box_arr,
-            labels=np.array(labels, dtype=np.int64),
-            track_ids=np.array(track_ids, dtype=np.int64),
-            occlusion=np.array(occ),
-            truncation=np.array(trunc),
+            boxes=(table.clipped if clip else table.boxes)[rows],
+            labels=table.labels[rows],
+            track_ids=table.track_ids[rows],
+            occlusion=table.occlusion[rows],
+            truncation=table.truncation[rows],
         )
 
     def iter_annotations(self, *, clip: bool = True) -> Iterator[FrameAnnotations]:

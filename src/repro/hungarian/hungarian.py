@@ -12,6 +12,7 @@ on rectangular matrices by transposing so rows are the smaller side.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -51,23 +52,16 @@ def hungarian(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         cost = cost.T
         n, m = m, n
 
-    # Fast path: a single row is matched to its cheapest column, exactly as
-    # the augmenting-path search would (np.argmin picks the first minimum,
-    # matching the search's column order).
-    if n == 1:
-        return _finish(np.zeros(1, dtype=np.int64), np.array([np.argmin(cost[0])], dtype=np.int64), transposed)
-
-    # Fast path for diagonal-dominant instances (the common association case
-    # where every track overlaps one detection far more than the others):
-    # when each row's minimum is strictly unique within the row and the
-    # argmin columns are pairwise distinct, that assignment attains the
-    # row-minima lower bound and any other assignment is strictly worse, so
-    # it is the unique optimum — identical to the full algorithm's output.
-    argmins = np.argmin(cost, axis=1)
-    row_mins = cost[np.arange(n), argmins]
-    strictly_unique = np.count_nonzero(cost == row_mins[:, None], axis=1) == 1
-    if strictly_unique.all() and np.unique(argmins).size == n:
-        return _finish(np.arange(n, dtype=np.int64), argmins.astype(np.int64), transposed)
+    # A row whose cheapest reduced-cost column is free takes it in the
+    # search's first step, which changes only u[i] (and the never-read
+    # v[0]).  Potentials stay zero until a row finds its column taken, so
+    # the rows before it settle on their plain row minima at once.
+    cols = np.argmin(cost, axis=1)
+    first = np.zeros(n, dtype=bool)
+    first[np.unique(cols, return_index=True)[1]] = True
+    if first.all():
+        return _finish(np.arange(n, dtype=np.int64), cols.astype(np.int64), transposed)
+    k = int(np.argmin(first))
 
     # Pad to 1-indexed internal arrays; column 0 is the virtual start column.
     a = np.zeros((n + 1, m + 1))
@@ -78,29 +72,44 @@ def hungarian(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     p = np.zeros(m + 1, dtype=np.int64)  # p[j]: row matched to column j (0 = free)
     way = np.zeros(m + 1, dtype=np.int64)
 
-    for i in range(1, n + 1):
+    p[cols[:k] + 1] = np.arange(1, k + 1)
+    u[1 : k + 1] += cost[np.arange(k), cols[:k]]
+    v1, way1 = v[1:], way[1:]
+    for i in range(k + 1, n + 1):
+        # The search's first step from row i, while every column is free.
+        cur = a[i, 1:] - u[i] - v1
+        j0 = int(cur.argmin()) + 1
+        delta = cur[j0 - 1]
+        u[i] += delta
+        if p[j0] == 0:
+            p[j0] = i
+            continue
+        # That column is taken: carry the first step's state into the search.
         p[0] = i
-        j0 = 0
-        minv = np.full(m + 1, np.inf)
+        minv = np.concatenate(([np.inf], cur - delta))
+        minv1 = minv[1:]
         used = np.zeros(m + 1, dtype=bool)
+        used[0] = True
+        way1[:] = 0
         while True:
             used[j0] = True
             i0 = p[j0]
             # Relax edges from row i0 to all unused columns (vectorized).
-            free = ~used[1:]
-            cur = a[i0, 1:] - u[i0] - v[1:]
-            better = free & (cur < minv[1:])
-            minv[1:] = np.where(better, cur, minv[1:])
-            way[1:] = np.where(better, j0, way[1:])
-            candidates = np.where(free, minv[1:], np.inf)
-            j1 = int(np.argmin(candidates)) + 1
+            unused = ~used
+            free = unused[1:]
+            cur = a[i0, 1:] - u[i0] - v1
+            better = free & (cur < minv1)
+            np.copyto(minv1, cur, where=better)
+            way1[better] = j0
+            candidates = np.where(free, minv1, np.inf)
+            j1 = int(candidates.argmin()) + 1
             delta = candidates[j1 - 1]
-            if not np.isfinite(delta):  # pragma: no cover - finite input guard
+            if not math.isfinite(delta):  # pragma: no cover - finite input guard
                 raise RuntimeError("augmenting path search failed on finite input")
             # Update dual potentials.
             u[p[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
+            np.subtract(v, delta, out=v, where=used)
+            np.subtract(minv, delta, out=minv, where=unused)
             j0 = j1
             if p[j0] == 0:
                 break

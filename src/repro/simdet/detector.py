@@ -18,7 +18,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.boxes.box import clip_boxes
+from repro.boxes.iou import iou_matrix
 from repro.boxes.mask import RegionMask
+from repro.boxes.nms import class_aware_nms
 from repro.detections import Detections
 from repro.datasets.types import FrameAnnotations, Sequence
 from repro.simdet.profile import DetectorProfile, sigmoid
@@ -137,11 +139,11 @@ class SimulatedDetector:
         self.input_scale = float(input_scale)
         self._factory = RngFactory(seed)
         self._model_key = profile.name
-        # Caches keyed by sequence name.
-        self._persistent: Dict[Tuple[str, int], float] = {}
-        self._temporal: Dict[Tuple[str, int], np.ndarray] = {}
+        # Caches keyed by sequence name.  A sequence's latents are its
+        # persistent and temporal noise, one value per frame-table row.
+        self._latents: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        self._label_pool: Dict[str, np.ndarray] = {}
         self._clutter: Dict[str, List[_ClutterSource]] = {}
-        self._track_index: Dict[str, Dict[int, object]] = {}
         # name -> weakref of the sequence object currently owning that
         # name's cache entries, in least-recently-claimed order (see
         # _claim).
@@ -172,19 +174,11 @@ class SimulatedDetector:
         The invocation counter is *not* cleared: it is execution
         accounting, not sampled state, and never affects results.
         """
-        if sequence_name is None:
-            self._persistent.clear()
-            self._temporal.clear()
-            self._clutter.clear()
-            self._track_index.clear()
-            self._owners.clear()
-            return
-        for cache in (self._persistent, self._temporal):
-            for key in [k for k in cache if k[0] == sequence_name]:
-                del cache[key]
-        self._clutter.pop(sequence_name, None)
-        self._track_index.pop(sequence_name, None)
-        self._owners.pop(sequence_name, None)
+        for cache in (self._latents, self._label_pool, self._clutter, self._owners):
+            if sequence_name is None:
+                cache.clear()
+            else:
+                cache.pop(sequence_name, None)
 
     def _claim(self, sequence: Sequence) -> None:
         """Guard the name-keyed caches against sequence-name collisions.
@@ -214,39 +208,40 @@ class SimulatedDetector:
             self.reset(stale)
         self._owners[sequence.name] = weakref.ref(sequence)
 
-    def _track_of(self, sequence: Sequence, track_id: int):
-        index = self._track_index.get(sequence.name)
-        if index is None:
-            index = {t.track_id: t for t in sequence.tracks}
-            self._track_index[sequence.name] = index
-        return index[track_id]
-
     # ------------------------------------------------------------------ #
     # Latent caches
     # ------------------------------------------------------------------ #
 
-    def _persistent_latent(self, sequence: Sequence, track_id: int) -> float:
-        key = (sequence.name, track_id)
-        if key not in self._persistent:
-            rng = self._factory.child("persistent", self._model_key, sequence.name, track_id)
-            self._persistent[key] = float(rng.normal())
-        return self._persistent[key]
-
-    def _temporal_noise(self, sequence: Sequence, track_id: int, length: int) -> np.ndarray:
-        key = (sequence.name, track_id)
-        cached = self._temporal.get(key)
-        if cached is None or cached.shape[0] < length:
-            rng = self._factory.child("temporal", self._model_key, sequence.name, track_id)
+    def _sequence_latents(self, sequence: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+        """Persistent and temporal latents of every frame-table row, drawn
+        from per-track keyed streams (independent of query order)."""
+        cached = self._latents.get(sequence.name)
+        if cached is None:
             rho = self.profile.temporal_rho
-            innov = np.sqrt(max(1.0 - rho**2, 1e-12))
-            noise = np.empty(length)
-            state = rng.normal()
-            for t in range(length):
-                noise[t] = state
-                state = rho * state + innov * rng.normal()
-            self._temporal[key] = noise
-            cached = noise
+            innov = float(np.sqrt(max(1.0 - rho**2, 1e-12)))
+            persistent, temporal = [np.zeros(0)], [np.zeros(0)]
+            for track in sequence.tracks:
+                key = (self._model_key, sequence.name, track.track_id)
+                latent = self._factory.child("persistent", *key).normal()
+                persistent.append(np.full(track.length, latent))
+                # AR(1) noise, seeded by the stream's first draw.
+                draws = self._factory.child("temporal", *key).normal(size=track.length)
+                noise = draws[:1].tolist()
+                for z in draws[1:].tolist():
+                    noise.append(rho * noise[-1] + innov * z)
+                temporal.append(np.array(noise, dtype=np.float64))
+            source = sequence.frame_table().source
+            cached = (np.concatenate(persistent)[source], np.concatenate(temporal)[source])
+            self._latents[sequence.name] = cached
         return cached
+
+    def _labels_of(self, sequence: Sequence) -> np.ndarray:
+        """The sequence's class labels (``[0]`` when it has no tracks)."""
+        pool = self._label_pool.get(sequence.name)
+        if pool is None:
+            pool = np.array(sorted({t.label for t in sequence.tracks}) or [0], dtype=np.int64)
+            self._label_pool[sequence.name] = pool
+        return pool
 
     def _clutter_sources(self, sequence: Sequence) -> List[_ClutterSource]:
         if sequence.name in self._clutter:
@@ -254,7 +249,7 @@ class SimulatedDetector:
         rng = self._factory.child("clutter", self._model_key, sequence.name)
         sources: List[_ClutterSource] = []
         expected = self.profile.clutter_rate * sequence.num_frames / 100.0
-        labels = sorted({t.label for t in sequence.tracks}) or [0]
+        labels = self._labels_of(sequence)
         for _ in range(rng.poisson(expected)):
             first = int(rng.integers(0, sequence.num_frames))
             duration = 3 + int(rng.geometric(1.0 / 12.0))
@@ -265,11 +260,9 @@ class SimulatedDetector:
             cx = rng.uniform(0.05, 0.95) * sequence.width
             cy = rng.uniform(0.3, 0.95) * sequence.height
             drift = rng.normal(scale=1.0, size=2)
-            boxes = np.empty((length, 4))
-            for t in range(length):
-                px = cx + drift[0] * t
-                py = cy + drift[1] * t
-                boxes[t] = [px - w / 2, py - h / 2, px + w / 2, py + h / 2]
+            px = cx + drift[0] * np.arange(length)
+            py = cy + drift[1] * np.arange(length)
+            boxes = np.stack([px - w / 2, py - h / 2, px + w / 2, py + h / 2], axis=1)
             boxes = clip_boxes(boxes, sequence.width, sequence.height)
             fire = rng.random(length) < self.profile.clutter_persistence
             score_logits = rng.normal(
@@ -296,24 +289,19 @@ class SimulatedDetector:
         self, sequence: Sequence, annotations: FrameAnnotations
     ) -> np.ndarray:
         """Full (base + latent) detection logits for the frame's GT objects."""
-        n = len(annotations)
-        if n == 0:
+        if len(annotations) == 0:
             return np.zeros(0)
         widths = (annotations.boxes[:, 2] - annotations.boxes[:, 0]) * self.input_scale
         base = self.profile.base_logit(
             widths, annotations.occlusion, annotations.truncation
         )
-        latents = np.empty(n)
-        temporal = np.empty(n)
-        for i, track_id in enumerate(annotations.track_ids):
-            track = self._track_of(sequence, int(track_id))
-            offset = annotations.frame - track.first_frame
-            latents[i] = self._persistent_latent(sequence, int(track_id))
-            temporal[i] = self._temporal_noise(sequence, int(track_id), track.length)[offset]
+        starts = sequence.frame_table().starts
+        rows = slice(starts[annotations.frame], starts[annotations.frame + 1])
+        persistent, temporal = self._sequence_latents(sequence)
         return (
             base
-            + self.profile.persistent_weight * latents
-            + self.profile.temporal_weight * temporal
+            + self.profile.persistent_weight * persistent[rows]
+            + self.profile.temporal_weight * temporal[rows]
         )
 
     def _jitter_boxes(
@@ -322,13 +310,12 @@ class SimulatedDetector:
         """Localization noise: center shift + log-size jitter."""
         if boxes.shape[0] == 0 or loc_noise == 0.0:
             return boxes.copy()
-        w = boxes[:, 2] - boxes[:, 0]
-        h = boxes[:, 3] - boxes[:, 1]
-        cx = boxes[:, 0] + w / 2 + rng.normal(scale=loc_noise, size=len(boxes)) * w
-        cy = boxes[:, 1] + h / 2 + rng.normal(scale=loc_noise, size=len(boxes)) * h
-        w = w * np.exp(rng.normal(scale=loc_noise, size=len(boxes)))
-        h = h * np.exp(rng.normal(scale=loc_noise, size=len(boxes)))
-        return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
+        # One draw of every box's x-shift, then y-shift, log-w and log-h noise.
+        noise = rng.normal(scale=loc_noise, size=(4, len(boxes))).T
+        wh = boxes[:, 2:] - boxes[:, :2]
+        centre = boxes[:, :2] + wh / 2 + noise[:, :2] * wh
+        wh = wh * np.exp(noise[:, 2:])
+        return np.concatenate([centre - wh / 2, centre + wh / 2], axis=1)
 
     def _tp_scores(self, logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         p = self.profile
@@ -349,7 +336,7 @@ class SimulatedDetector:
         n = rng.poisson(rate)
         if n == 0:
             return Detections.empty()
-        labels_pool = sorted({t.label for t in sequence.tracks}) or [0]
+        labels_pool = self._labels_of(sequence)
         w = np.exp(rng.normal(3.5, 0.6, size=n))
         h = w * np.exp(rng.normal(0.2, 0.5, size=n))
         if region is not None and region.expanded_boxes.shape[0] > 0:
@@ -369,27 +356,23 @@ class SimulatedDetector:
         scores = sigmoid(
             rng.normal(self.profile.fp_score_mean, self.profile.fp_score_std, size=n)
         )
-        labels = np.asarray(labels_pool, dtype=np.int64)[
-            rng.integers(0, len(labels_pool), size=n)
-        ]
+        labels = labels_pool[rng.integers(0, len(labels_pool), size=n)]
         return Detections(boxes, scores, labels)
 
     def _clutter_detections(self, sequence: Sequence, frame: int) -> Detections:
-        parts = []
-        for source in self._clutter_sources(sequence):
-            if not (source.first_frame <= frame <= source.last_frame):
-                continue
-            t = frame - source.first_frame
-            if not source.fire[t]:
-                continue
-            parts.append(
-                Detections(
-                    source.boxes[t][None, :],
-                    np.array([float(sigmoid(np.array([source.score_logits[t]]))[0])]),
-                    np.array([source.label], dtype=np.int64),
-                )
-            )
-        return Detections.concatenate(parts) if parts else Detections.empty()
+        fired = [
+            (source, frame - source.first_frame)
+            for source in self._clutter_sources(sequence)
+            if source.first_frame <= frame <= source.last_frame
+            and source.fire[frame - source.first_frame]
+        ]
+        if not fired:
+            return Detections.empty()
+        return Detections(
+            np.stack([source.boxes[t] for source, t in fired]),
+            sigmoid(np.array([source.score_logits[t] for source, t in fired])),
+            np.array([source.label for source, _ in fired], dtype=np.int64),
+        )
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -443,13 +426,7 @@ class SimulatedDetector:
 
         fp = self._sample_false_positives(sequence, frame, rng, self.profile.fp_rate)
         clutter = self._clutter_detections(sequence, frame)
-        merged = Detections.concatenate([tp, fp, clutter])
-        merged = Detections(
-            clip_boxes(merged.boxes, sequence.width, sequence.height),
-            merged.scores,
-            merged.labels,
-        )
-        return merged.nms(0.5)
+        return self._merged([tp, fp, clutter], sequence)
 
     def detect_regions(
         self,
@@ -508,8 +485,6 @@ class SimulatedDetector:
         confirm_parts: List[Detections] = []
         if n_regions and self.profile.fp_confirm_rate > 0:
             # Regions that do not overlap any GT object are background.
-            from repro.boxes.iou import iou_matrix
-
             if len(annotations):
                 overlap = iou_matrix(region.boxes, annotations.boxes).max(axis=1)
             else:
@@ -525,11 +500,10 @@ class SimulatedDetector:
                         size=int(confirm.sum()),
                     )
                 )
-                labels_pool = sorted({t.label for t in sequence.tracks}) or [0]
-                c_labels = np.array(
-                    [labels_pool[int(rng.integers(0, len(labels_pool)))] for _ in range(int(confirm.sum()))],
-                    dtype=np.int64,
-                )
+                labels_pool = self._labels_of(sequence)
+                c_labels = labels_pool[
+                    rng.integers(0, len(labels_pool), size=int(confirm.sum()))
+                ]
                 confirm_parts.append(Detections(c_boxes, c_scores, c_labels))
 
         fp = self._sample_false_positives(
@@ -539,10 +513,13 @@ class SimulatedDetector:
             self.profile.fp_rate * region.coverage_fraction() * 0.5,
             region=region,
         )
-        merged = Detections.concatenate([tp, fp] + confirm_parts)
-        merged = Detections(
-            clip_boxes(merged.boxes, sequence.width, sequence.height),
-            merged.scores,
-            merged.labels,
-        )
-        return merged.nms(0.5)
+        return self._merged([tp, fp] + confirm_parts, sequence)
+
+    @staticmethod
+    def _merged(parts: List[Detections], sequence: Sequence) -> Detections:
+        """Concatenate ``parts``, clip to the image and suppress duplicates."""
+        boxes = clip_boxes(np.concatenate([p.boxes for p in parts]), sequence.width, sequence.height)
+        scores = np.concatenate([p.scores for p in parts])
+        labels = np.concatenate([p.labels for p in parts])
+        keep = class_aware_nms(boxes, scores, labels, 0.5)
+        return Detections(boxes[keep], scores[keep], labels[keep])

@@ -10,7 +10,6 @@ per class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -60,24 +59,23 @@ def associate(
     """
     track_boxes = np.asarray(track_boxes, dtype=np.float64).reshape(-1, 4)
     detection_boxes = np.asarray(detection_boxes, dtype=np.float64).reshape(-1, 4)
-    n, m = track_boxes.shape[0], detection_boxes.shape[0]
-    if n == 0 or m == 0:
-        return AssociationResult(
-            matches=np.zeros((0, 2), dtype=np.int64),
-            unmatched_tracks=np.arange(n, dtype=np.int64),
-            unmatched_detections=np.arange(m, dtype=np.int64),
-        )
+    return _assign(iou_matrix(track_boxes, detection_boxes), iou_threshold)
 
-    ious = iou_matrix(track_boxes, detection_boxes)
+
+def _assign(ious: np.ndarray, iou_threshold: float) -> AssociationResult:
+    """Maximum-IoU assignment over an ``(N, M)`` IoU matrix."""
     rows, cols = hungarian(-ious)
-
     keep = ious[rows, cols] > iou_threshold
-    matches = np.stack([rows[keep], cols[keep]], axis=1) if keep.any() else np.zeros((0, 2), dtype=np.int64)
-    # Assignment indices are unique, so the unmatched sets are plain sorted
-    # set differences — no per-index membership scan.
-    unmatched_tracks = np.setdiff1d(np.arange(n, dtype=np.int64), matches[:, 0], assume_unique=True)
-    unmatched_detections = np.setdiff1d(np.arange(m, dtype=np.int64), matches[:, 1], assume_unique=True)
-    return AssociationResult(matches.astype(np.int64), unmatched_tracks, unmatched_detections)
+    return _with_unmatched(np.stack([rows[keep], cols[keep]], axis=1), *ious.shape)
+
+
+def _with_unmatched(matches: np.ndarray, n: int, m: int) -> AssociationResult:
+    """``matches`` plus, ascending, every index no pair clears from a mask."""
+    lost, emerging = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
+    lost[matches[:, 0]] = emerging[matches[:, 1]] = False
+    return AssociationResult(
+        matches.astype(np.int64), np.flatnonzero(lost), np.flatnonzero(emerging)
+    )
 
 
 def associate_per_class(
@@ -87,7 +85,7 @@ def associate_per_class(
     detection_labels: np.ndarray,
     iou_threshold: float = 0.0,
 ) -> AssociationResult:
-    """Run :func:`associate` independently for every class label.
+    """:func:`associate` run independently within every class label.
 
     Index spaces of the returned result refer to the *full* input arrays.
     """
@@ -100,10 +98,11 @@ def associate_per_class(
     if detection_boxes.shape[0] != detection_labels.shape[0]:
         raise ValueError("detection_boxes and detection_labels must agree in length")
 
-    all_matches: List[np.ndarray] = []
-    unmatched_tracks: List[np.ndarray] = []
-    unmatched_dets: List[np.ndarray] = []
-    labels = np.unique(np.concatenate([track_labels, detection_labels]))
+    all_matches = [np.zeros((0, 2), dtype=np.int64)]
+    # IoU is pairwise, so one matrix serves every class's sub-block.
+    ious = iou_matrix(track_boxes, detection_boxes)
+    # Only classes on both sides can match; the rest are all unmatched.
+    labels = np.intersect1d(track_labels, detection_labels)
     # One stable label-sorted permutation per side; each class's indices are
     # then a contiguous block (in ascending original order, since the sort is
     # stable) instead of a fresh full scan of the label arrays per class.
@@ -115,28 +114,13 @@ def associate_per_class(
     t_hi = np.searchsorted(t_sorted, labels, side="right")
     d_lo = np.searchsorted(d_sorted, labels, side="left")
     d_hi = np.searchsorted(d_sorted, labels, side="right")
-    for k, cls in enumerate(labels):
+    for k in range(labels.size):
         t_idx = t_perm[t_lo[k] : t_hi[k]]
         d_idx = d_perm[d_lo[k] : d_hi[k]]
-        res = associate(track_boxes[t_idx], detection_boxes[d_idx], iou_threshold)
-        if res.matches.shape[0]:
-            all_matches.append(
-                np.stack([t_idx[res.matches[:, 0]], d_idx[res.matches[:, 1]]], axis=1)
-            )
-        unmatched_tracks.append(t_idx[res.unmatched_tracks])
-        unmatched_dets.append(d_idx[res.unmatched_detections])
-
-    matches = (
-        np.concatenate(all_matches, axis=0)
-        if all_matches
-        else np.zeros((0, 2), dtype=np.int64)
-    )
-    return AssociationResult(
-        matches=matches.astype(np.int64),
-        unmatched_tracks=np.sort(np.concatenate(unmatched_tracks)).astype(np.int64)
-        if unmatched_tracks
-        else np.zeros(0, dtype=np.int64),
-        unmatched_detections=np.sort(np.concatenate(unmatched_dets)).astype(np.int64)
-        if unmatched_dets
-        else np.zeros(0, dtype=np.int64),
+        res = _assign(ious[np.ix_(t_idx, d_idx)], iou_threshold)
+        all_matches.append(
+            np.stack([t_idx[res.matches[:, 0]], d_idx[res.matches[:, 1]]], axis=1)
+        )
+    return _with_unmatched(
+        np.concatenate(all_matches), track_boxes.shape[0], detection_boxes.shape[0]
     )

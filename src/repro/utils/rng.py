@@ -9,6 +9,7 @@ number of sequences or models never perturbs the randomness of the others
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Union
 
 import numpy as np
@@ -86,6 +87,7 @@ class RngFactory:
         return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
     @staticmethod
+    @functools.lru_cache(maxsize=4096, typed=True)
     def _encode(part: Union[str, int]) -> int:
         if isinstance(part, (int, np.integer)):
             value = int(part)

@@ -6,6 +6,7 @@ bookkeeping (file indexing, payload shape, regression comparison) plus the
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,22 @@ class TestKernelBench:
             np.testing.assert_array_equal(fa.scores, fb.scores)
 
 
+class TestServeE2EBench:
+    def test_host_and_device_figures_per_stream_count_and_batch(self):
+        out = bench.bench_serve_e2e(streams=(2,))
+        assert set(out) == {"streams_2_batch_1", "streams_2_batch_8"}
+        for entry in out.values():
+            assert entry["cpus"] >= 1
+            assert entry["host_us_per_frame"] > 0 and entry["device_us_per_frame"] > 0
+        # Batching amortizes the modelled per-invocation overhead.
+        assert out["streams_2_batch_8"]["device_us_per_frame"] <= (
+            out["streams_2_batch_1"]["device_us_per_frame"]
+        )
+
+    def test_serve_e2e_is_not_gated(self):
+        assert not [m for m in bench.GATED_METRICS if m.startswith("serve_e2e")]
+
+
 class TestBenchCommand:
     @pytest.fixture
     def stubbed(self, monkeypatch):
@@ -118,6 +135,11 @@ class TestBenchCommand:
                     "per_point_seconds": 1.4,
                     "grid_points": 13,
                 },
+                "serve_e2e": {
+                    "streams_8_batch_1": {
+                        "cpus": 2, "host_us_per_frame": 2100.4, "device_us_per_frame": 9670.9,
+                    },
+                },
             }
 
         monkeypatch.setattr(bench, "run_bench", fake_run_bench)
@@ -128,6 +150,7 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "tracker_catdet" in out
         assert "paper_e2e: 1.40x" in out
+        assert re.search(r"streams_8_batch_1\s+2100\s+9671", out)
 
     def test_no_write_leaves_directory_empty(self, stubbed, tmp_path):
         assert main(["bench", "--no-write", "--output-dir", str(tmp_path)]) == 0

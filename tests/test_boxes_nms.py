@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.boxes.nms import class_aware_nms, nms, soft_nms
+from repro.boxes.reference import scalar_nms
 
 
 class TestNms:
@@ -62,6 +63,39 @@ class TestClassAwareNms:
     def test_mismatched_lengths_raise(self):
         with pytest.raises(ValueError, match="equal length"):
             class_aware_nms(np.zeros((2, 4)), np.zeros(2), np.zeros(3))
+
+    def test_bad_threshold_raises_with_one_box(self):
+        with pytest.raises(ValueError, match="iou_threshold"):
+            class_aware_nms(np.zeros((1, 4)), np.ones(1), np.zeros(1), 1.5)
+
+    @staticmethod
+    def _per_label_oracle(boxes, scores, labels, iou_threshold):
+        """Scalar NMS once per label, kept set re-sorted by stable score."""
+        kept = [np.zeros(0, dtype=np.int64)]
+        for label in np.unique(labels):
+            idx = np.flatnonzero(labels == label)
+            kept.append(idx[scalar_nms(boxes[idx], scores[idx], iou_threshold)])
+        kept = np.sort(np.concatenate(kept))
+        return kept[np.argsort(-scores[kept], kind="stable")]
+
+    def test_matches_per_label_scalar_oracle(self):
+        rng = np.random.default_rng(17)
+        for trial in range(300):
+            n = int(rng.integers(0, 41))
+            centers = rng.uniform(0, 120, size=(n, 2))
+            sizes = rng.uniform(5, 40, size=(n, 2))
+            boxes = np.concatenate([centers - sizes / 2, centers + sizes / 2], axis=1)
+            if n > 1:  # duplicated boxes
+                dup = rng.integers(0, n, size=n // 4)
+                boxes[rng.integers(0, n, size=dup.size)] = boxes[dup]
+            # Few distinct score values, so ties are common.
+            scores = rng.choice(np.linspace(0.1, 0.9, int(rng.integers(1, 6))), size=n)
+            labels = rng.integers(0, int(rng.integers(1, 5)), size=n)
+            for thr in (0.0, 0.5, 1.0):
+                got = class_aware_nms(boxes, scores, labels, thr)
+                want = self._per_label_oracle(boxes, scores, labels, thr)
+                assert got.dtype == np.int64, trial
+                np.testing.assert_array_equal(got, want, err_msg=f"trial {trial}, thr {thr}")
 
 
 class TestSoftNms:

@@ -1,8 +1,14 @@
 """Unit tests for the ground-truth data model."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.boxes.box import clip_boxes
+from repro.datasets.kitti import kitti_like_dataset, kitti_world_config
+from repro.datasets.synth import SyntheticWorldConfig, generate_sequence
 from repro.datasets.types import ClassSpec, Dataset, ObjectTrack, Sequence
 
 
@@ -81,6 +87,96 @@ class TestSequence:
         frames = list(seq.iter_annotations())
         assert len(frames) == 4
         assert all(len(f) == 1 for f in frames)
+
+
+def _per_track_annotations(seq, frame, clip):
+    """The per-track construction the frame table replaced (the oracle)."""
+    boxes, labels, track_ids, occ, trunc = [], [], [], [], []
+    for track in seq.tracks:
+        idx = track.frame_index(frame)
+        if idx is None:
+            continue
+        boxes.append(track.boxes[idx])
+        labels.append(track.label)
+        track_ids.append(track.track_id)
+        occ.append(track.occlusion[idx])
+        trunc.append(track.truncation[idx])
+    box_arr = np.stack(boxes) if boxes else np.zeros((0, 4))
+    if clip and box_arr.shape[0]:
+        box_arr = clip_boxes(box_arr, seq.width, seq.height)
+    return (
+        box_arr,
+        np.array(labels, dtype=np.int64),
+        np.array(track_ids, dtype=np.int64),
+        np.array(occ),
+        np.array(trunc),
+    )
+
+
+def _sparse_synth_sequences():
+    """Synth sequences sparse enough to have empty frames."""
+    world = kitti_world_config()
+    sparse = SyntheticWorldConfig(
+        width=world.width,
+        height=world.height,
+        fps=world.fps,
+        populations=tuple(
+            dataclasses.replace(pop, initial_count_mean=0.5, entry_rate=0.03)
+            for pop in world.populations
+        ),
+    )
+    return [generate_sequence(sparse, 80, name=f"sparse-{i}", seed=i) for i in range(4)]
+
+
+def _fields(ann):
+    return (ann.boxes, ann.labels, ann.track_ids, ann.occlusion, ann.truncation)
+
+
+class TestFrameTable:
+    @pytest.fixture(scope="class")
+    def sequences(self):
+        hand = Sequence(
+            "hand", 200, 100, 12, 10.0,
+            tracks=[_track(0, 0, 2, 5, x0=170.0), _track(1, 1, 0, 3), _track(7, 0, 4, 8)],
+        )
+        return [hand] + _sparse_synth_sequences() + kitti_like_dataset(
+            num_sequences=2, frames_per_sequence=40
+        ).sequences
+
+    def test_matches_per_track_construction(self, sequences):
+        empty = mid_start = mid_end = 0
+        for seq in sequences:
+            mid_start += any(t.first_frame > 0 for t in seq.tracks)
+            mid_end += any(t.last_frame < seq.num_frames - 1 for t in seq.tracks)
+            for frame in range(seq.num_frames):
+                for clip in (True, False):
+                    ann = seq.annotations(frame, clip=clip)
+                    expected = _per_track_annotations(seq, frame, clip)
+                    assert ann.frame == frame
+                    for got, want in zip(_fields(ann), expected):
+                        assert got.dtype == want.dtype and got.shape == want.shape
+                        np.testing.assert_array_equal(got, want)
+                empty += len(seq.annotations(frame)) == 0
+        assert empty and mid_start and mid_end  # the cases worth covering occur
+
+    def test_returned_arrays_are_read_only(self, sequences):
+        ann = sequences[0].annotations(3)
+        assert len(ann) > 0
+        for array in _fields(ann):
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_pickle_round_trip_drops_the_table(self, sequences):
+        seq = dataclasses.replace(sequences[-1])  # a copy with no table built yet
+        cold = pickle.dumps(seq)
+        seq.frame_table()
+        assert pickle.dumps(seq) == cold  # the built table is not pickled
+        restored = pickle.loads(pickle.dumps(seq))
+        for frame in range(seq.num_frames):
+            for got, want in zip(
+                _fields(restored.annotations(frame)), _fields(seq.annotations(frame))
+            ):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestDataset:

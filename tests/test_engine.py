@@ -15,6 +15,7 @@ from repro.core.config import SystemConfig, build_system
 from repro.core.keyframe import KeyFrameSystem
 from repro.core.pipeline import run_on_dataset
 from repro.core.systems import CaTDetSystem
+from repro.datasets.types import Sequence
 from repro.engine.scheduler import (
     ParallelExecutor,
     SerialExecutor,
@@ -320,13 +321,42 @@ class TestReset:
     def test_reset_clears_detector_caches(self, kitti_small):
         system = build_system(SystemConfig("catdet", "resnet50", "resnet10a"))
         system.process_sequence(kitti_small.sequences[0])
+        detectors = (system.proposal_detector, system.refinement_detector)
         assert system.proposal_detector._clutter  # caches were populated
+        for detector in detectors:
+            assert detector._latents and detector._label_pool
         system.reset()
-        for detector in (system.proposal_detector, system.refinement_detector):
-            assert not detector._persistent
-            assert not detector._temporal
+        for detector in detectors:
+            assert not detector._latents
+            assert not detector._label_pool
             assert not detector._clutter
-            assert not detector._track_index
+            assert not detector._owners
+
+    def test_reused_name_gets_fresh_latents(self, kitti_small):
+        """A different sequence under a cached name never sees stale latents.
+
+        The impostor lists the same tracks in reverse, so its frame-table
+        rows are a permutation of the original's: latents cached for the
+        original would be gathered onto the wrong objects.
+        """
+        original = kitti_small.sequences[0]
+        impostor = Sequence(
+            original.name, original.width, original.height,
+            original.num_frames, original.fps, tracks=original.tracks[::-1],
+        )
+        detector = build_system(SystemConfig("single", "resnet50")).detector
+        for frame in range(original.num_frames):
+            detector.detect_full_frame(original, frame)
+        fresh = build_system(SystemConfig("single", "resnet50")).detector
+        for frame in range(impostor.num_frames):
+            a = detector.detect_full_frame(impostor, frame)
+            b = fresh.detect_full_frame(impostor, frame)
+            np.testing.assert_array_equal(a.boxes, b.boxes)
+            np.testing.assert_array_equal(a.scores, b.scores)
+        for cached, expected in zip(
+            detector._latents[original.name], fresh._latents[original.name]
+        ):
+            np.testing.assert_array_equal(cached, expected)
 
     def test_reset_clears_stream_state(self, kitti_small):
         sequence = kitti_small.sequences[0]

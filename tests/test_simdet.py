@@ -8,6 +8,7 @@ from repro.boxes.mask import RegionMask
 from repro.simdet.detector import SimulatedDetector
 from repro.simdet.profile import DetectorProfile, sigmoid
 from repro.simdet.zoo import MODEL_ZOO, get_model
+from repro.utils.rng import RngFactory
 
 
 class TestSigmoid:
@@ -139,11 +140,55 @@ class TestDeterminism:
             detector.detect_full_frame(sequence, 0)
         assert len(detector._owners) <= 3
         assert len(detector._clutter) <= 3
+        assert len(detector._latents) <= 3 and len(detector._label_pool) <= 3
         # Eviction is a recompute cost, never a result change.
         evicted = variants[0]
         again = detector.detect_full_frame(evicted, 0)
         fresh = SimulatedDetector(p, seed=5).detect_full_frame(evicted, 0)
         np.testing.assert_array_equal(again.boxes, fresh.boxes)
+
+
+    def test_latents_match_per_track_scalar_draws(self, kitti_sequence):
+        """Per-row latents equal the per-track scalar draws they replaced."""
+        p = get_model("resnet50").profile
+        persistent, temporal = SimulatedDetector(p, seed=5)._sequence_latents(kitti_sequence)
+        factory = RngFactory(5)
+        innov = np.sqrt(max(1.0 - p.temporal_rho**2, 1e-12))
+        expected = {}
+        for track in kitti_sequence.tracks:
+            key = (p.name, kitti_sequence.name, track.track_id)
+            rng = factory.child("temporal", *key)
+            noise = np.empty(track.length)
+            state = rng.normal()
+            for t in range(track.length):
+                noise[t] = state
+                state = p.temporal_rho * state + innov * rng.normal()
+            latent = float(factory.child("persistent", *key).normal())
+            expected[track.track_id] = (track, latent, noise)
+        starts = kitti_sequence.frame_table().starts
+        for frame in range(kitti_sequence.num_frames):
+            rows = range(starts[frame], starts[frame + 1])
+            ids = kitti_sequence.annotations(frame).track_ids
+            for row, track_id in zip(rows, ids):
+                track, latent, noise = expected[int(track_id)]
+                assert persistent[row] == latent
+                assert temporal[row] == noise[frame - track.first_frame]
+
+    def test_jitter_matches_per_coordinate_draws(self):
+        """One (4, N) draw equals the four per-coordinate draws it replaced."""
+        detector = SimulatedDetector(get_model("resnet50").profile)
+        corners = np.random.default_rng(0).uniform(0, 500, size=(9, 2))
+        boxes = np.concatenate([corners, corners + 40.0], axis=1)
+        got = detector._jitter_boxes(boxes, np.random.default_rng(3), 0.1)
+        rng = np.random.default_rng(3)
+        w = boxes[:, 2] - boxes[:, 0]
+        h = boxes[:, 3] - boxes[:, 1]
+        cx = boxes[:, 0] + w / 2 + rng.normal(scale=0.1, size=9) * w
+        cy = boxes[:, 1] + h / 2 + rng.normal(scale=0.1, size=9) * h
+        w = w * np.exp(rng.normal(scale=0.1, size=9))
+        h = h * np.exp(rng.normal(scale=0.1, size=9))
+        expected = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestDetectionBehavior:

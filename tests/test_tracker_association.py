@@ -56,6 +56,26 @@ class TestAssociate:
         assert matches == {0: 0, 1: 1}
 
 
+    def test_unmatched_sets_equal_set_differences(self):
+        rng = np.random.default_rng(5)
+        for trial in range(200):
+            n, m = rng.integers(0, 12, size=2)
+            tracks = _random_boxes(rng, n)
+            dets = _random_boxes(rng, m)
+            res = associate(tracks, dets, iou_threshold=float(rng.choice([0.0, 0.3])))
+            for got, size, matched in (
+                (res.unmatched_tracks, n, res.matches[:, 0]),
+                (res.unmatched_detections, m, res.matches[:, 1]),
+            ):
+                assert got.dtype == np.int64, trial
+                np.testing.assert_array_equal(got, np.setdiff1d(np.arange(size), matched))
+
+
+def _random_boxes(rng, n):
+    corners = rng.uniform(0, 100, size=(n, 2))
+    return np.concatenate([corners, corners + rng.uniform(5, 30, size=(n, 2))], axis=1)
+
+
 class TestAssociatePerClass:
     def test_classes_never_cross_match(self):
         tracks = np.array([[0, 0, 10, 10]])

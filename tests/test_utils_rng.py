@@ -81,3 +81,9 @@ class TestRngFactory:
     def test_bad_key_type_raises(self):
         with pytest.raises(TypeError, match="str or int"):
             RngFactory(1).child(3.14)
+
+    def test_float_key_equal_to_a_cached_int_still_raises(self):
+        """Key hashes are memoized per type: 1.0 never hits the entry for 1."""
+        RngFactory(1).child(1)
+        with pytest.raises(TypeError, match="str or int"):
+            RngFactory(1).child(1.0)
