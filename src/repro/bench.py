@@ -57,6 +57,9 @@ GATED_METRICS = (
     "paper_e2e.speedup",
 )
 
+#: Concurrent stream counts measured by :func:`bench_serve_e2e`.
+SERVE_E2E_STREAMS = (8, 64)
+
 
 def bench_systems(
     num_sequences: int = 1,
@@ -410,10 +413,7 @@ def bench_paper_e2e(
     }
 
 
-def bench_serve_e2e(
-    streams: Tuple[int, ...] = (8, 64),
-    on_progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, Any]:
+def bench_serve_e2e(on_progress: Optional[Callable[[str], None]] = None) -> Dict[str, Any]:
     """Host wall µs per served frame (median of 3 cold servers) beside the
     modelled :class:`~repro.serve.ServiceModel` device µs, unbatched and in
     batches of up to 8.  Neither is gated: host µs depend on the machine."""
@@ -423,7 +423,7 @@ def bench_serve_e2e(
     system = SystemConfig("catdet", "resnet50", "resnet10a", detailed_ops=False)
     service = ServiceModel.for_device("datacenter")
     out: Dict[str, Any] = {}
-    for n in streams:
+    for n in SERVE_E2E_STREAMS:
         load = LoadSpec(pattern="poisson", num_streams=n, rate_hz=2.0, frames_per_stream=10)
         requests = generate_load(load, kitti_like_dataset(num_sequences=n, frames_per_sequence=10))
         for batch in (1, 8):

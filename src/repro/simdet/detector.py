@@ -22,7 +22,7 @@ from repro.boxes.iou import iou_matrix
 from repro.boxes.mask import RegionMask
 from repro.boxes.nms import class_aware_nms
 from repro.detections import Detections
-from repro.datasets.types import FrameAnnotations, Sequence
+from repro.datasets.types import Sequence
 from repro.simdet.profile import DetectorProfile, sigmoid
 from repro.utils.rng import RngFactory
 
@@ -285,18 +285,14 @@ class SimulatedDetector:
     # Core sampling
     # ------------------------------------------------------------------ #
 
-    def _object_logits(
-        self, sequence: Sequence, annotations: FrameAnnotations
-    ) -> np.ndarray:
-        """Full (base + latent) detection logits for the frame's GT objects."""
-        if len(annotations) == 0:
-            return np.zeros(0)
-        widths = (annotations.boxes[:, 2] - annotations.boxes[:, 0]) * self.input_scale
-        base = self.profile.base_logit(
-            widths, annotations.occlusion, annotations.truncation
-        )
-        starts = sequence.frame_table().starts
-        rows = slice(starts[annotations.frame], starts[annotations.frame + 1])
+    def _object_logits(self, sequence: Sequence, frame: int) -> np.ndarray:
+        """Full (base + latent) detection logits for the frame's GT objects,
+        in the row order of ``sequence.annotations(frame)``."""
+        table = sequence.frame_table()
+        rows = slice(table.starts[frame], table.starts[frame + 1])
+        boxes = table.clipped[rows]
+        widths = (boxes[:, 2] - boxes[:, 0]) * self.input_scale
+        base = self.profile.base_logit(widths, table.occlusion[rows], table.truncation[rows])
         persistent, temporal = self._sequence_latents(sequence)
         return (
             base
@@ -412,7 +408,7 @@ class SimulatedDetector:
     def _sample_full_frame(self, sequence: Sequence, frame: int) -> Detections:
         self._claim(sequence)
         annotations = sequence.annotations(frame)
-        logits = self._object_logits(sequence, annotations)
+        logits = self._object_logits(sequence, frame)
         rng = self._factory.child("frame", self._model_key, sequence.name, frame)
 
         p_detect = self.profile.detection_probability(logits)
@@ -467,7 +463,7 @@ class SimulatedDetector:
     ) -> Detections:
         self._claim(sequence)
         annotations = sequence.annotations(frame)
-        logits = self._object_logits(sequence, annotations)
+        logits = self._object_logits(sequence, frame)
         rng = self._factory.child("refine", self._model_key, sequence.name, frame)
 
         covered = region.contains(annotations.boxes, min_overlap=0.5)

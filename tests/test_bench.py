@@ -102,8 +102,9 @@ class TestKernelBench:
 
 
 class TestServeE2EBench:
-    def test_host_and_device_figures_per_stream_count_and_batch(self):
-        out = bench.bench_serve_e2e(streams=(2,))
+    def test_host_and_device_figures_per_stream_count_and_batch(self, monkeypatch):
+        monkeypatch.setattr(bench, "SERVE_E2E_STREAMS", (2,))
+        out = bench.bench_serve_e2e()
         assert set(out) == {"streams_2_batch_1", "streams_2_batch_8"}
         for entry in out.values():
             assert entry["cpus"] >= 1

@@ -89,9 +89,118 @@ class TestAgainstScipy:
         assert cost[rows, cols].sum() == pytest.approx(4.0)
 
 
+def plain_hungarian(cost):
+    """The plain e-maxx shortest-augmenting-path loop: every row runs the
+    full search from the virtual column.  Oracle for the solver's exact
+    pairs, ties included."""
+    cost = np.asarray(cost, dtype=np.float64)
+    transposed = cost.shape[0] > cost.shape[1]
+    if transposed:
+        cost = cost.T
+    n, m = cost.shape
+    a = np.zeros((n + 1, m + 1))
+    a[1:, 1:] = cost
+    u, v = np.zeros(n + 1), np.zeros(m + 1)
+    p = np.zeros(m + 1, dtype=np.int64)
+    way = np.zeros(m + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            free = ~used[1:]
+            cur = a[i0, 1:] - u[i0] - v[1:]
+            better = free & (cur < minv[1:])
+            minv[1:] = np.where(better, cur, minv[1:])
+            way[1:] = np.where(better, j0, way[1:])
+            candidates = np.where(free, minv[1:], np.inf)
+            j1 = int(np.argmin(candidates)) + 1
+            delta = candidates[j1 - 1]
+            u[p[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    rows = p[1:] - 1
+    cols = np.arange(m)
+    rows, cols = rows[rows >= 0], cols[rows >= 0]
+    if transposed:
+        rows, cols = cols, rows
+    order = np.argsort(rows, kind="stable")
+    return rows[order], cols[order]
+
+
+class TestAgainstPlainSolver:
+    """Exact pairs, not just the optimal cost: on tied matrices the
+    tie-breaking decides which track keeps which detection."""
+
+    @staticmethod
+    def _resumes(cost):
+        """Whether some row after the first finds its cheapest column
+        already taken, so the solver carries a search past its first step."""
+        small = cost if cost.shape[0] <= cost.shape[1] else cost.T
+        cols = np.argmin(small, axis=1)
+        first = np.zeros(len(cols), dtype=bool)
+        first[np.unique(cols, return_index=True)[1]] = True
+        return not first.all() and bool(first[0])
+
+    @pytest.mark.parametrize("levels", [2, 4, 50])
+    def test_small_integer_costs_with_ties(self, levels):
+        rng = np.random.default_rng(levels)
+        resumed = 0
+        for _ in range(1000):
+            n, m = (int(x) for x in rng.integers(1, 9, size=2))
+            cost = rng.integers(0, levels, size=(n, m)).astype(np.float64)
+            r1, c1 = hungarian(cost)
+            r2, c2 = plain_hungarian(cost)
+            np.testing.assert_array_equal(r1, r2)
+            np.testing.assert_array_equal(c1, c2)
+            resumed += self._resumes(cost)
+        assert resumed > 200
+
+    def test_duplicate_argmin_after_settled_rows(self):
+        """Rows ``0..k-1`` own distinct cheapest columns and row ``k``
+        repeats one of them, so the settle-then-resume path always runs."""
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            n = int(rng.integers(3, 8))
+            m = int(rng.integers(n, 10))
+            k = int(rng.integers(1, n))
+            cost = rng.integers(2, 5, size=(n, m)).astype(np.float64)
+            taken = rng.permutation(m)[:k]
+            cost[np.arange(k), taken] = 0.0
+            cost[k, taken[int(rng.integers(0, k))]] = 0.0
+            assert self._resumes(cost)
+            for matrix in (cost, cost.T.copy()):
+                r1, c1 = hungarian(matrix)
+                r2, c2 = plain_hungarian(matrix)
+                np.testing.assert_array_equal(r1, r2)
+                np.testing.assert_array_equal(c1, c2)
+
+    def test_negative_iou_costs(self):
+        """The tracker's cost shape: negated IoUs, mostly exact zeros."""
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            n, m = (int(x) for x in rng.integers(1, 12, size=2))
+            cost = -np.where(rng.random((n, m)) < 0.7, 0.0, rng.random((n, m)))
+            r1, c1 = hungarian(cost)
+            r2, c2 = plain_hungarian(cost)
+            np.testing.assert_array_equal(r1, r2)
+            np.testing.assert_array_equal(c1, c2)
+
+
 class TestFastPaths:
-    """The single-row and diagonal-dominant shortcuts must be invisible:
-    same output as the full augmenting-path solver."""
+    """Rows settled on their row minima without a search, and searches
+    resumed from their first step, must be invisible: same output as the
+    plain augmenting-path solver."""
 
     def test_single_row_first_minimum(self):
         rows, cols = hungarian(np.array([[3.0, 1.0, 1.0, 2.0]]))
