@@ -1036,6 +1036,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for name, e in payload.get("serve_e2e", {}).items()]
     if rows:
         print(format_table(["serve_e2e", "host us/frame", "device us/frame"], rows))
+    m = payload.get("metrics")
+    if m is not None:
+        print(f"metrics: mean_delay(0.8) {m['mean_delay_cps']:.0f} calls/s, mean_ap() "
+              f"{m['mean_ap_cps']:.0f} calls/s (2 classes x {m['scores_per_class']} scores, "
+              f"{m['cpus']} cpus)")
 
     if not args.no_write:
         path = write_bench(root, payload)

@@ -443,6 +443,29 @@ def bench_serve_e2e(on_progress: Optional[Callable[[str], None]] = None) -> Dict
     return out
 
 
+def bench_metrics(repeats: int = 3) -> Dict[str, Any]:
+    """Calls/sec of ``mean_delay(0.8)`` and ``mean_ap()`` on a fixed, seeded
+    pool of two classes with 2,000 scores and 100 tracks each (never gated)."""
+    from repro.engine.scheduler import effective_cpu_count
+    from repro.metrics.delay import TrackDelayRecord
+    from repro.metrics.evaluate import ClassEvaluation, EvaluationResult
+
+    rng = np.random.default_rng(0)
+    per_class = []
+    for label in (0, 1):
+        scores = rng.random(2000)
+        tp = rng.random(2000) < scores  # score-correlated correctness
+        tracks = [TrackDelayRecord(list(range(10)), rng.random(10).tolist(), True) for _ in range(100)]
+        per_class.append(ClassEvaluation(label, str(label), scores, tp, 1500, tracks))
+    result = EvaluationResult("hard", per_class)
+    return {
+        "cpus": effective_cpu_count(),
+        "scores_per_class": 2000,
+        "mean_delay_cps": _best_rate(lambda: len([result.mean_delay(0.8) for _ in range(20)]), repeats),
+        "mean_ap_cps": _best_rate(lambda: len([result.mean_ap() for _ in range(20)]), repeats),
+    }
+
+
 def run_bench(
     quick: bool = False,
     num_tracks: int = 60,
@@ -471,6 +494,7 @@ def run_bench(
     tune_sweep = bench_tune_sweep(on_progress=on_progress)
     paper_e2e = bench_paper_e2e(on_progress=on_progress)
     serve_e2e = bench_serve_e2e(on_progress=on_progress)
+    metrics = bench_metrics(repeats=1 if quick else 3)
     return {
         "schema": 1,
         "quick": quick,
@@ -487,6 +511,7 @@ def run_bench(
         "tune_sweep": tune_sweep,
         "paper_e2e": paper_e2e,
         "serve_e2e": serve_e2e,
+        "metrics": metrics,
     }
 
 

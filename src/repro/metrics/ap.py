@@ -12,6 +12,10 @@ from typing import Tuple
 import numpy as np
 
 
+#: Recall levels: VOC's 11 points, or KITTI's 40 excluding 0.
+_RECALL_LEVELS = {"voc11": np.linspace(0.0, 1.0, 11), "r40": np.linspace(0.025, 1.0, 40)}
+
+
 def _pr_points(
     scores: np.ndarray, tp: np.ndarray, num_gt: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -60,20 +64,15 @@ def average_precision(
         return 0.0
 
     precision, recall = _pr_points(scores, tp, num_gt)
-    if method == "voc11":
+    levels = _RECALL_LEVELS.get(method)
+    if levels is not None:
+        # recall is non-decreasing, so max(precision[recall >= r]) is a
+        # suffix max: the reverse running max read at the first such index.
+        envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
         ap = 0.0
-        for r in np.linspace(0.0, 1.0, 11):
-            mask = recall >= r
-            p = float(precision[mask].max()) if mask.any() else 0.0
-            ap += p / 11.0
+        for p in envelope[np.searchsorted(recall, levels, side="left")].tolist():
+            ap += p / levels.size
         return min(ap, 1.0)  # guard against float accumulation past 1.0
-    if method == "r40":
-        ap = 0.0
-        for r in np.linspace(0.025, 1.0, 40):
-            mask = recall >= r
-            p = float(precision[mask].max()) if mask.any() else 0.0
-            ap += p / 40.0
-        return min(ap, 1.0)
     if method == "continuous":
         # Monotone non-increasing interpolated precision envelope.
         mrec = np.concatenate([[0.0], recall, [1.0]])

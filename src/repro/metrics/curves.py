@@ -12,6 +12,7 @@ from typing import List
 
 import numpy as np
 
+from repro.metrics.delay import _at_least
 from repro.metrics.evaluate import ClassEvaluation
 
 
@@ -45,14 +46,9 @@ def precision_recall_delay_curves(
     thresholds = np.unique(
         np.quantile(class_eval.scores, np.linspace(0.0, 1.0, num_points))
     )
-    points: List[CurvePoint] = []
-    for t in thresholds:
-        points.append(
-            CurvePoint(
-                threshold=float(t),
-                precision=delay_eval.precision_at(float(t)),
-                recall=class_eval.recall_at(float(t)),
-                mean_delay=delay_eval.mean_delay(float(t)),
-            )
-        )
-    return points
+    precision, hits = _at_least(class_eval.scores, class_eval.tp, thresholds)
+    recall = hits / class_eval.num_gt if class_eval.num_gt else np.zeros(hits.size)
+    return [
+        CurvePoint(t, p, r, delay_eval.mean_delay(t))
+        for t, p, r in zip(thresholds.tolist(), precision.tolist(), recall.tolist())
+    ]

@@ -102,6 +102,24 @@ class DelayEvaluation:
         return float(np.mean([t.exit_delay_at(threshold) for t in self.tracks]))
 
 
+def _at_least(
+    scores: np.ndarray, tp: np.ndarray, thresholds: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(precision, TP count)`` of the detections scoring >= t, for each ``t``.
+
+    One stable sort: suffix sums of ``tp`` in ascending score order, read
+    at ``searchsorted``.  NaN scores never count as >= t; precision with
+    no detections is 1.0, as in :meth:`DelayEvaluation.precision_at`.
+    """
+    scored = ~np.isnan(scores)
+    order = np.argsort(scores[scored], kind="stable")
+    ranked = scores[scored][order]
+    suffix_tp = np.append(np.cumsum(tp[scored][order][::-1])[::-1], 0)
+    first = np.searchsorted(ranked, thresholds, side="left")
+    hits, total = suffix_tp[first], ranked.size - first
+    return np.where(total == 0, 1.0, hits / np.maximum(total, 1)), hits
+
+
 def threshold_for_precision(
     per_class: Sequence[DelayEvaluation],
     beta: float,
@@ -114,21 +132,24 @@ def threshold_for_precision(
     (plus its extremes); the candidate whose mean precision is nearest to
     ``beta`` wins, with ties broken toward the *lower* threshold (more
     detections, less delay — the conservative choice for comparing methods).
+    A later candidate replaces the best only if its error is smaller by
+    more than 1e-12, so errors within 1e-12 count as tied.  NaN scores
+    never count as >= t.
     """
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     if not per_class:
         raise ValueError("per_class must be non-empty")
-    pooled = np.concatenate([c.scores for c in per_class]) if per_class else np.zeros(0)
+    pooled = np.concatenate([c.scores for c in per_class])
     if pooled.size == 0:
         return 0.0
     qs = np.quantile(pooled, np.linspace(0.0, 1.0, num_candidates))
     candidates = np.unique(np.concatenate([[0.0], qs, [pooled.max() + 1e-9]]))
+    precision = np.stack([_at_least(c.scores, c.tp, candidates)[0] for c in per_class], -1)
+    errors = np.abs(precision.mean(axis=-1) - beta)
     best_t = candidates[0]
     best_err = np.inf
-    for t in candidates:
-        mean_prec = float(np.mean([c.precision_at(t) for c in per_class]))
-        err = abs(mean_prec - beta)
+    for t, err in zip(candidates.tolist(), errors.tolist()):
         if err < best_err - 1e-12:
             best_err = err
             best_t = t

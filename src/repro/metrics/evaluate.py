@@ -23,7 +23,7 @@ from repro.metrics.ap import average_precision
 from repro.metrics.delay import (
     DelayEvaluation,
     TrackDelayRecord,
-    delay_at_threshold,
+    mean_delay_at_precision,
     threshold_for_precision,
 )
 from repro.metrics.kitti_eval import DifficultyFilter, care_mask
@@ -81,9 +81,7 @@ class EvaluationResult:
 
     def mean_delay(self, beta: float = 0.8) -> float:
         """``mD@beta`` (equation 4)."""
-        evals = [ce.as_delay_eval() for ce in self.per_class]
-        t_beta = threshold_for_precision(evals, beta)
-        return delay_at_threshold(evals, t_beta)
+        return mean_delay_at_precision([ce.as_delay_eval() for ce in self.per_class], beta)[0]
 
     def mean_exit_delay(self, beta: float = 0.8) -> float:
         """Mean exit delay at precision ``beta`` (paper §5 extension).

@@ -118,6 +118,16 @@ class TestServeE2EBench:
         assert not [m for m in bench.GATED_METRICS if m.startswith("serve_e2e")]
 
 
+class TestMetricsBench:
+    def test_positive_rates_and_host_cpus(self):
+        out = bench.bench_metrics(repeats=1)
+        assert out["cpus"] >= 1 and out["scores_per_class"] == 2000
+        assert out["mean_delay_cps"] > 0 and out["mean_ap_cps"] > 0
+
+    def test_metrics_is_not_gated(self):
+        assert not [m for m in bench.GATED_METRICS if m.startswith("metrics")]
+
+
 class TestBenchCommand:
     @pytest.fixture
     def stubbed(self, monkeypatch):
@@ -141,6 +151,10 @@ class TestBenchCommand:
                         "cpus": 2, "host_us_per_frame": 2100.4, "device_us_per_frame": 9670.9,
                     },
                 },
+                "metrics": {
+                    "cpus": 2, "scores_per_class": 2000,
+                    "mean_delay_cps": 812.3, "mean_ap_cps": 2604.9,
+                },
             }
 
         monkeypatch.setattr(bench, "run_bench", fake_run_bench)
@@ -152,6 +166,8 @@ class TestBenchCommand:
         assert "tracker_catdet" in out
         assert "paper_e2e: 1.40x" in out
         assert re.search(r"streams_8_batch_1\s+2100\s+9671", out)
+        assert "metrics: mean_delay(0.8) 812 calls/s, mean_ap() 2605 calls/s" in out
+        assert "(2 classes x 2000 scores, 2 cpus)" in out
 
     def test_no_write_leaves_directory_empty(self, stubbed, tmp_path):
         assert main(["bench", "--no-write", "--output-dir", str(tmp_path)]) == 0

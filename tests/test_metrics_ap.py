@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics.ap import average_precision, interpolated_precision_at
+from repro.metrics.ap import _pr_points, average_precision, interpolated_precision_at
 
 
 class TestAveragePrecision:
@@ -88,3 +88,35 @@ class TestInterpolatedPrecision:
     def test_invalid_recall_level(self):
         with pytest.raises(ValueError, match="recall_level"):
             interpolated_precision_at(np.zeros(1), np.zeros(1, dtype=bool), 1, 1.5)
+
+
+def _loop_interpolated_ap(scores, tp, num_gt, levels):
+    """The per-level mask loop the suffix-max envelope replaced."""
+    if num_gt == 0 or scores.size == 0:
+        return 0.0
+    precision, recall = _pr_points(scores, tp, num_gt)
+    ap = 0.0
+    for r in levels:
+        mask = recall >= r
+        p = float(precision[mask].max()) if mask.any() else 0.0
+        ap += p / float(len(levels))
+    return min(ap, 1.0)
+
+
+class TestInterpolationOracle:
+    @pytest.mark.parametrize(
+        "method, levels",
+        [("voc11", np.linspace(0.0, 1.0, 11)), ("r40", np.linspace(0.025, 1.0, 40))],
+    )
+    def test_equals_per_level_loop(self, method, levels):
+        rng = np.random.default_rng(len(levels))
+        for _ in range(2000):
+            n = int(rng.choice([0, 1, 2, 5, 30, 200]))
+            scores = rng.random(n)
+            if rng.random() < 0.5:
+                scores = np.round(scores * 5) / 5  # heavy ties
+            tp = rng.random(n) < rng.random()
+            num_gt = int(rng.integers(0, n + 5)) if rng.random() < 0.8 else int(tp.sum())
+            assert average_precision(scores, tp, num_gt, method=method) == (
+                _loop_interpolated_ap(scores, tp, num_gt, levels)
+            )

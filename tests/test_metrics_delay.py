@@ -6,6 +6,7 @@ import pytest
 from repro.metrics.delay import (
     DelayEvaluation,
     TrackDelayRecord,
+    _at_least,
     delay_at_threshold,
     mean_delay_at_precision,
     threshold_for_precision,
@@ -126,3 +127,67 @@ class TestMeanDelay:
         d_low, _ = mean_delay_at_precision([e], beta=0.5)
         d_high, _ = mean_delay_at_precision([e], beta=0.9)
         assert d_high >= d_low - 1e-9
+
+
+def _loop_threshold_for_precision(per_class, beta, num_candidates):
+    """The per-threshold mask loop the one-pass search replaced."""
+    pooled = np.concatenate([c.scores for c in per_class])
+    if pooled.size == 0:
+        return 0.0
+    qs = np.quantile(pooled, np.linspace(0.0, 1.0, num_candidates))
+    candidates = np.unique(np.concatenate([[0.0], qs, [pooled.max() + 1e-9]]))
+    best_t = candidates[0]
+    best_err = np.inf
+    for t in candidates:
+        mean_prec = float(np.mean([c.precision_at(t) for c in per_class]))
+        err = abs(mean_prec - beta)
+        if err < best_err - 1e-12:
+            best_err = err
+            best_t = t
+    return float(best_t)
+
+
+def _random_class(rng):
+    """Scores with ties, quantisation, NaN and -inf; possibly empty."""
+    n = int(rng.choice([0, 1, 2, 5, 12, 30]))
+    scores = rng.random(n)
+    if rng.random() < 0.6:
+        scores = np.round(scores * rng.choice([2, 4, 10])) / 10
+    if n and rng.random() < 0.25:
+        scores[rng.random(n) < 0.2] = np.nan
+    if n and rng.random() < 0.25:
+        scores[rng.random(n) < 0.2] = -np.inf
+    tp = rng.random(n) < rng.random()
+    return DelayEvaluation(scores=scores, tp=tp, tracks=[])
+
+
+class TestThresholdSearchOracle:
+    @pytest.mark.parametrize("num_candidates", [8, 64, 512])
+    def test_equals_per_threshold_loop(self, num_candidates):
+        rng = np.random.default_rng(num_candidates)
+        seen = {"empty": 0, "nan": 0, "neg_inf": 0, "beta_one": 0}
+        for _ in range(1000):
+            per_class = [_random_class(rng) for _ in range(int(rng.integers(1, 4)))]
+            beta = float(rng.choice([0.1, 0.5, 0.8, 0.9, 1.0, rng.uniform(0.05, 1.0)]))
+            with np.errstate(invalid="ignore"):  # quantiles next to -inf
+                fast = threshold_for_precision(
+                    per_class, beta, num_candidates=num_candidates
+                )
+                loop = _loop_threshold_for_precision(per_class, beta, num_candidates)
+            # NaN scores make every quantile NaN, and a NaN candidate can win.
+            assert fast == loop or (np.isnan(fast) and np.isnan(loop))
+            pooled = np.concatenate([c.scores for c in per_class])
+            seen["empty"] += any(c.scores.size == 0 for c in per_class)
+            seen["nan"] += bool(np.isnan(pooled).any())
+            seen["neg_inf"] += bool(np.isneginf(pooled).any())
+            seen["beta_one"] += beta == 1.0
+        assert min(seen.values()) >= 50, seen
+
+    def test_nan_scores_never_count(self):
+        precision, hits = _at_least(
+            np.array([np.nan, 0.9, np.nan, 0.4]),
+            np.array([True, True, True, False]),
+            np.array([0.0, 0.5, 0.95, np.nan]),
+        )
+        assert hits.tolist() == [1, 1, 0, 0]
+        assert precision.tolist() == [0.5, 1.0, 1.0, 1.0]

@@ -5,8 +5,9 @@ import pytest
 
 from repro.datasets.types import ClassSpec, Dataset, ObjectTrack, Sequence
 from repro.detections import Detections
-from repro.metrics.curves import precision_recall_delay_curves
-from repro.metrics.evaluate import evaluate_dataset
+from repro.metrics.curves import CurvePoint, precision_recall_delay_curves
+from repro.metrics.delay import TrackDelayRecord
+from repro.metrics.evaluate import ClassEvaluation, evaluate_dataset
 from repro.metrics.kitti_eval import EASY, HARD, MODERATE, care_mask
 
 
@@ -138,6 +139,36 @@ class TestCurves:
         results = {"s": [Detections.empty()] * 5}
         res = evaluate_dataset(ds, results, HARD)
         assert precision_recall_delay_curves(res.class_eval("Car")) == []
+
+    def test_points_equal_per_threshold_values(self):
+        """Every column equals the per-threshold scalar methods exactly."""
+        rng = np.random.default_rng(7)
+        for case in range(300):
+            n = int(rng.integers(1, 60))
+            scores = rng.random(n)
+            if case % 2:
+                scores = np.round(scores * 4) / 4  # heavy ties
+            tracks = []
+            for _ in range(int(rng.integers(1, 5))):
+                record = TrackDelayRecord()
+                for frame, score in enumerate(rng.random(int(rng.integers(1, 8)))):
+                    record.append(frame, score if rng.random() < 0.7 else -np.inf)
+                tracks.append(record)
+            tp = rng.random(n) < 0.6
+            num_gt = int(rng.integers(0, n + 3))
+            ce = ClassEvaluation(0, "Car", scores, tp, num_gt, tracks)
+            num_points = int(rng.choice([2, 8, 64]))
+            delay_eval = ce.as_delay_eval()
+            expected = [
+                CurvePoint(
+                    threshold=float(t),
+                    precision=delay_eval.precision_at(float(t)),
+                    recall=ce.recall_at(float(t)),
+                    mean_delay=delay_eval.mean_delay(float(t)),
+                )
+                for t in np.unique(np.quantile(scores, np.linspace(0.0, 1.0, num_points)))
+            ]
+            assert precision_recall_delay_curves(ce, num_points=num_points) == expected
 
     def test_num_points_validation(self):
         ds = _perfect_world()
