@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -117,11 +118,12 @@ class EntryStore:
 
         ``json.dumps`` then one write, not ``json.dump``: CPython's C
         encoder serves only the one-shot ``dumps`` path, and the bytes are
-        the same either way.
+        the same either way.  The temp name is unique per writer thread,
+        so concurrent writers in one process never share a temp file.
         """
         path = self.path_for(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(payload, allow_nan=True))
         os.replace(tmp, path)

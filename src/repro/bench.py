@@ -283,7 +283,8 @@ def bench_tune_sweep(
     ``tune_policy`` sweep over the same grid with a fresh cache: grid
     dedupe collapses the inert ``max_wait_ms`` axis at batch size 1, cold
     points record the shared compute trace in-process until one sheds
-    nothing or replays it without going live, and the remaining points
+    nothing or replays it without going live (a sequence lane computes
+    each sequence's frames once for both of its streams), and the rest
     replay it across ``workers`` processes.  Both sides run in this
     process on this machine, so the ``speedup`` ratio transfers across
     CI runners and is gated like the kernel ratios.

@@ -192,14 +192,17 @@ class ServingLoop:
     # Stream state and engine execution
     # ------------------------------------------------------------------ #
 
+    def _new_pipeline(self):
+        """A fresh stream pipeline: its own tracker state, and the template's
+        shared stages when the system allows coalescing."""
+        if self._shareable:
+            return self._template.per_stream()
+        return self.system.build_pipeline()
+
     def _stream_state(self, request: FrameRequest) -> _StreamState:
         state = self._streams.get(request.stream)
         if state is None:
-            pipeline = (
-                self._template.per_stream()
-                if self._shareable
-                else self.system.build_pipeline()
-            )
+            pipeline = self._new_pipeline()
             evaluator = None
             if self.query is not None:
                 from repro.query.automaton import QueryEvaluator
@@ -346,7 +349,15 @@ class ServingLoop:
         if self._trace is not None or self._record_trace:
             from repro.serve.trace import TraceRunner
 
-            self._trace_runner = TraceRunner(self._trace, shareable=self._shareable)
+            # Sequence lanes pay off only when streams share sequences.
+            lanes = len({r.stream for r in requests}) > len(
+                {r.sequence.name for r in requests}
+            )
+            self._trace_runner = TraceRunner(
+                self._trace,
+                shareable=self._shareable,
+                new_pipeline=self._new_pipeline if lanes else None,
+            )
         else:
             self._trace_runner = None
         policy = self.policy

@@ -29,6 +29,19 @@ machinery unchanged; on first divergence (a shed frame changed tracker
 state) the stream falls back to live compute for the rest of the run,
 after re-running the replayed prefix to rebuild its causal state.
 Reports are byte-identical to the live path either way.
+
+Streams replaying the same sequence that have admitted the same frames
+produce the same outputs, so a traced run with more streams than
+sequences computes them once: every stream without stored records
+follows its sequence's *lane* (a private pipeline plus the records it
+produced).  A stream in step with its lane serves the lane's record, or
+has the lane compute the next frame once for every stream that asks; a
+stream that sheds differently diverges and goes live exactly as above.
+``frames_replayed`` still counts stored-trace frames only; the
+``serve_trace_frames_total{source}`` counter splits every traced frame
+into ``replayed``, ``shared`` and ``live``.  Shared
+:class:`~repro.core.results.FrameResult`\\ s are only ever read
+downstream (result buffers copy them, query evaluators read them).
 """
 
 from __future__ import annotations
@@ -183,15 +196,29 @@ class TraceStore(EntryStore):
         )
 
 
+class _Lane:
+    """One sequence's shared compute: a private pipeline and the records
+    it produced, in the order its streams first asked for them."""
+
+    __slots__ = ("pipeline", "records")
+
+    def __init__(self, pipeline: Any, sequence: Any):
+        pipeline.begin_sequence(sequence)
+        self.pipeline = pipeline
+        self.records: List[FrameRecord] = []
+
+
 class _Cursor:
-    """Replay position over one stream's recorded prefix."""
+    """One stream's position over its stored prefix or its sequence lane."""
 
-    __slots__ = ("records", "pos", "live")
+    __slots__ = ("sequence", "records", "lane", "pos", "live")
 
-    def __init__(self, records: List[FrameRecord]):
+    def __init__(self, sequence: str, records: List[FrameRecord], lane=None):
+        self.sequence = sequence
         self.records = records
+        self.lane = lane
         self.pos = 0
-        self.live = not records
+        self.live = not records and lane is None
 
 
 class TraceRunner:
@@ -200,42 +227,72 @@ class TraceRunner:
     Holds one cursor per stream over the stored trace (if any) and
     accumulates the run's own outgoing trace — the replayed prefix plus
     whatever was computed live, so a partially-diverged run still leaves
-    behind a longer, more reusable trace than it started with.
+    behind a longer, more reusable trace than it started with.  Given
+    ``new_pipeline``, every stream without stored records follows its
+    sequence's lane instead, so streams replaying one sequence compute
+    each admitted frame once.
     """
 
-    def __init__(self, trace: Optional[ComputeTrace], *, shareable: bool):
+    def __init__(
+        self, trace: Optional[ComputeTrace], *, shareable: bool, new_pipeline=None
+    ):
         self._trace = trace if trace is not None else ComputeTrace()
         self.shareable = shareable
         self.frames_replayed = 0
+        self._new_pipeline = new_pipeline
+        self._lanes: Dict[str, _Lane] = {}
         self._cursors: Dict[str, _Cursor] = {}
         self._out: Dict[str, StreamTrace] = {}
 
-    def _cursor(self, stream: str, sequence: str) -> _Cursor:
+    def _cursor(self, stream: str, sequence: Any) -> _Cursor:
+        name = sequence.name
         cur = self._cursors.get(stream)
-        if cur is None:
-            stored = self._trace.streams.get(stream)
-            records = (
-                stored.records
-                if stored is not None and stored.sequence == sequence
-                else []
-            )
-            cur = self._cursors[stream] = _Cursor(records)
+        if cur is not None:
+            if cur.sequence != name:
+                # The switch restarted the stream's own pipeline: nothing
+                # to replay or re-run, compute live from here on.
+                cur.sequence, cur.pos, cur.live = name, 0, True
+            return cur
+        stored = self._trace.streams.get(stream)
+        records = stored.records if stored is not None and stored.sequence == name else []
+        lane = None
+        if not records and self._new_pipeline is not None:
+            lane = self._lanes.get(name)
+            if lane is None:
+                lane = self._lanes[name] = _Lane(self._new_pipeline(), sequence)
+            records = lane.records
+        cur = self._cursors[stream] = _Cursor(name, records, lane)
         return cur
 
-    def match(self, stream: str, sequence: str, frame: int) -> Optional[FrameRecord]:
-        """The record to replay for this frame, advancing the cursor —
-        or ``None`` if the stream is (or just went) past its prefix."""
+    def match(self, stream: str, sequence: Any, frame: int):
+        """``(record, source, pipeline)`` for this frame, advancing the
+        cursor, or ``None`` once the stream is (or just went) past its
+        records.
+
+        ``source`` is ``"replayed"`` (stored trace) or ``"shared"``
+        (another stream's lane frame), with no pipeline; or ``"live"``:
+        a new lane placeholder whose result the caller computes on the
+        returned lane pipeline.
+        """
         cur = self._cursor(stream, sequence)
-        if cur.live or cur.pos >= len(cur.records):
+        if cur.live:
             return None
-        rec = cur.records[cur.pos]
-        if rec.frame != frame:
+        if cur.pos < len(cur.records):
+            rec = cur.records[cur.pos]
+            if rec.frame != frame:
+                return None
+            hit = rec, "replayed" if cur.lane is None else "shared", None
+        elif cur.lane is not None:
+            rec = FrameRecord(frame, None, 0)
+            cur.records.append(rec)
+            hit = rec, "live", cur.lane.pipeline
+        else:
             return None
         cur.pos += 1
-        return rec
+        return hit
 
-    def go_live(self, stream: str, sequence: str) -> List[FrameRecord]:
-        """Mark ``stream`` diverged; returns the replayed prefix that
+    def go_live(self, stream: str, sequence: Any) -> List[FrameRecord]:
+        """Mark ``stream`` diverged; returns the consumed prefix that
         must be re-run live to rebuild causal tracker state."""
         cur = self._cursor(stream, sequence)
         if cur.live:
@@ -256,96 +313,83 @@ class TraceRunner:
 def traced_execute(loop: Any, batch: List[Any]):
     """Replay-aware ``ServingLoop._execute``.
 
-    Splits the batch into replayable frames (the stream's admitted
-    subsequence still matches its trace prefix) and live ones, runs only
-    the live cohort through the engine, and reassembles per-frame
-    results, the batch invocation count and MACs exactly as the live
-    path would have measured them:
+    Serves each frame from the stream's stored trace prefix or its
+    sequence lane while its admitted subsequence matches them, computes
+    the rest — new lane frames on the lane's pipeline, once however many
+    streams of the batch need them, and diverged streams on their own —
+    and reassembles per-frame results, the batch invocation count and
+    MACs exactly as the live path would have measured them:
 
     * shareable systems make a constant number of batched detector calls
-      per dispatch whatever the batch holds, so the live cohort's delta
-      *is* the batch's bill; an all-replay batch bills the recorded
-      constant instead;
+      per dispatch whatever the batch holds, so the computed cohort's
+      delta *is* the batch's bill; a batch that computed nothing bills
+      the recorded constant instead;
     * per-stream pipelines (no cross-stream coalescing) bill the sum of
-      per-frame deltas, measured one singleton engine call per live
-      frame — identical grouping to the live path, whose stage groups
-      are singletons for these systems anyway.
+      per-frame deltas, measured one singleton engine call per computed
+      frame and billed again to every stream that shares it — identical
+      grouping to the live path, whose stage groups are singletons for
+      these systems anyway.
 
-    A stream that diverges first re-runs its replayed prefix (outside
-    the measurement window — those invocations were already billed when
-    the replayed frames were dispatched) and stays live from then on.
+    A stream that diverges first re-runs its consumed prefix on its own
+    pipeline (outside the measurement window — those invocations were
+    already billed when the frames were dispatched) and stays live from
+    then on.  Each frame bumps ``serve_trace_frames_total`` under its
+    source: ``replayed``, ``shared`` or ``live`` (computed here).
     """
     runner = loop._trace_runner
-    n = len(batch)
-    states: List[Any] = [None] * n
-    records: List[Optional[FrameRecord]] = [None] * n
-    live: List[int] = []
-    for idx, item in enumerate(batch):
+    records: List[FrameRecord] = []
+    states: List[Any] = []
+    sources: List[str] = []
+    work: List[tuple] = []
+    computed: List[FrameRecord] = []
+    for item in batch:
         req = item.request
         state = loop._stream_state(req)
-        states[idx] = state
-        rec = runner.match(req.stream, req.sequence.name, req.frame)
-        if rec is not None:
-            records[idx] = rec
-            continue
-        prefix = runner.go_live(req.stream, req.sequence.name)
-        for old in prefix:
-            run_frame_batch([(state.pipeline, req.sequence, old.frame)])
-        live.append(idx)
+        states.append(state)
+        hit = runner.match(req.stream, req.sequence, req.frame)
+        if hit is None:
+            for old in runner.go_live(req.stream, req.sequence):
+                run_frame_batch([(state.pipeline, req.sequence, old.frame)])
+            hit = FrameRecord(req.frame, None, 0), "live", state.pipeline
+        rec, source, pipeline = hit
+        if pipeline is not None:
+            work.append((pipeline, req.sequence, req.frame))
+            computed.append(rec)
+        records.append(rec)
+        sources.append(source)
 
-    frame_results: List[Optional[FrameResult]] = [None] * n
-    per_frame_inv: Dict[int, int] = {}
-    live_inv = 0
-    if live:
-        if runner.shareable:
+    if not runner.shareable:
+        for rec, one in zip(computed, work):
             before = loop._measured_invocations()
-            outs = run_frame_batch(
-                [
-                    (states[i].pipeline, batch[i].request.sequence, batch[i].request.frame)
-                    for i in live
-                ],
-                metrics=loop.metrics,
-            )
-            live_inv = loop._measured_invocations() - before
-            for i, fr in zip(live, outs):
-                frame_results[i] = fr
-                per_frame_inv[i] = live_inv
-        else:
-            for i in live:
-                before = loop._measured_invocations()
-                fr = run_frame_batch(
-                    [(states[i].pipeline, batch[i].request.sequence, batch[i].request.frame)],
-                    metrics=loop.metrics,
-                )[0]
-                delta = loop._measured_invocations() - before
-                frame_results[i] = fr
-                per_frame_inv[i] = delta
-                live_inv += delta
-
-    replayed_inv: List[int] = []
-    for idx, rec in enumerate(records):
-        if rec is not None:
-            frame_results[idx] = rec.result
-            replayed_inv.append(rec.invocations)
-    runner.frames_replayed += len(replayed_inv)
-
-    if runner.shareable:
-        invocations = live_inv if live else (max(replayed_inv) if replayed_inv else 0)
+            rec.result = run_frame_batch([one], metrics=loop.metrics)[0]
+            rec.invocations = loop._measured_invocations() - before
+        invocations = sum(rec.invocations for rec in records)
+    elif work:
+        before = loop._measured_invocations()
+        outs = run_frame_batch(work, metrics=loop.metrics)
+        invocations = loop._measured_invocations() - before
+        for rec, fr in zip(computed, outs):
+            rec.result, rec.invocations = fr, invocations
     else:
-        invocations = live_inv + sum(replayed_inv)
+        invocations = max(rec.invocations for rec in records)
+    frame_results = [rec.result for rec in records]
     macs = sum(fr.ops.total for fr in frame_results)
+    runner.frames_replayed += sources.count("replayed")
+    counter = loop.metrics.counter(
+        "serve_trace_frames_total",
+        "traced frames served, by where their result came from",
+        labels=("source",),
+    )
+    for source in ("replayed", "shared", "live"):
+        if source in sources:
+            counter.inc(sources.count(source), labels=(source,))
 
     windows = []
-    for idx, item in enumerate(batch):
-        state = states[idx]
-        fr = frame_results[idx]
-        rec = records[idx]
-        if rec is None:
-            rec = FrameRecord(item.request.frame, fr, per_frame_inv[idx])
+    for item, state, rec in zip(batch, states, records):
         runner.append(item.request.stream, item.request.sequence.name, rec)
-        state.results.append(fr)
+        state.results.append(rec.result)
         if state.query is not None:
-            window = state.query.observe(fr)
+            window = state.query.observe(rec.result)
             if window is not None:
                 windows.append(window)
     return frame_results, invocations, macs, windows

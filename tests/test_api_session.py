@@ -1,6 +1,9 @@
 """Session facade: cache correctness (bit-identical hits), dedupe, shims."""
 
 import json
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +17,20 @@ from repro.harness.experiment import run_experiment, standard_kitti
 from repro.metrics.kitti_eval import HARD, MODERATE, DifficultyFilter
 
 TINY = DatasetSpec("kitti", num_sequences=1, frames_per_sequence=25)
+
+RACE_FP = "ab" * 32
+RACE_BLOB = 20_000
+
+
+def _race_payload(writer: str):
+    return {"format": "race/1", "writer": writer, "blob": [writer] * RACE_BLOB}
+
+
+def _race_writes(root: str, writer: str, rounds: int) -> None:
+    """Racing writer: rewrite the one contended entry ``rounds`` times."""
+    store = EntryStore(root)
+    for _ in range(rounds):
+        store._write(RACE_FP, _race_payload(writer))
 
 
 def _spec(**system_kw) -> ExperimentSpec:
@@ -240,3 +257,58 @@ class TestResultCacheUnit:
             json.dump(payload, fh, allow_nan=True)
         assert path.read_bytes() == written
         _assert_bit_identical(ResultCache(tmp_path).load(spec.fingerprint), fresh)
+
+
+class TestRacingWriters:
+    def test_processes_and_threads_leave_a_whole_entry(self, tmp_path):
+        """Two processes and two threads rewrite one fingerprint while a
+        reader polls it: every read is a miss or a whole entry, no writer
+        fails, and the survivor is one writer's complete payload."""
+        rounds = 40
+        ctx = multiprocessing.get_context("spawn")
+        procs = [
+            ctx.Process(target=_race_writes, args=(str(tmp_path), f"p{i}", rounds))
+            for i in range(2)
+        ]
+        errors = []
+
+        def thread_writer(name):
+            try:
+                _race_writes(str(tmp_path), name, rounds)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=thread_writer, args=(f"t{i}",)) for i in range(2)
+        ]
+        path = EntryStore(tmp_path).path_for(RACE_FP)
+        torn = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in procs + threads:
+                worker.start()
+            while any(w.is_alive() for w in threads + procs):
+                try:
+                    text = path.read_text(encoding="utf-8")
+                except FileNotFoundError:
+                    continue
+                try:
+                    payload = json.loads(text)
+                except json.JSONDecodeError:
+                    torn.append(len(text))
+                    continue
+                if payload != _race_payload(payload["writer"]):
+                    torn.append(payload["writer"])
+            for worker in procs + threads:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in procs + threads)
+        assert [p.exitcode for p in procs] == [0, 0]
+        assert errors == []
+        assert torn == []
+        writer = EntryStore(tmp_path)._read(RACE_FP, "writer", str)
+        assert writer in {"p0", "p1", "t0", "t1"}
+        assert json.loads(path.read_text(encoding="utf-8")) == _race_payload(writer)
+        assert [p.name for p in path.parent.iterdir()] == [path.name]

@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api.session import Session
 from repro.api.spec import DatasetSpec, ServeSpec
 from repro.core.config import SystemConfig
 from repro.datasets.kitti import kitti_like_dataset
-from repro.fleet import FleetServer, FleetSpec
-from repro.obs import Sink
+from repro.fleet import AutoscalerPolicy, FleetServer, FleetSpec
+from repro.obs import MetricsRegistry, Sink
 from repro.query import Eventually, QuerySpec, TrackPersisted
 from repro.serve import (
     DetectionServer,
@@ -35,6 +36,8 @@ from repro.serve.trace import (
     trace_fingerprint,
 )
 
+SINGLE = SystemConfig("single", "resnet10a", detailed_ops=False)
+CASCADE = SystemConfig("cascade", "resnet50", "resnet10a", detailed_ops=False)
 CATDET = SystemConfig("catdet", "resnet50", "resnet10a", detailed_ops=False)
 KEYFRAME = SystemConfig("keyframe", "resnet50", stride=4)
 SERVICE = ServiceModel(invocation_overhead_ms=50.0, gops_per_second=2000.0)
@@ -82,6 +85,12 @@ def _record(system, requests, *, policy, query=None):
     trace = server.recorded_trace
     assert trace is not None and trace.total_frames > 0
     return report, trace
+
+
+def _sources(metrics):
+    """``serve_trace_frames_total`` by source."""
+    counter = metrics.get("serve_trace_frames_total")
+    return {s: int(counter.value((s,))) for s in ("replayed", "shared", "live")}
 
 
 class TestServeReplay:
@@ -232,6 +241,130 @@ def test_random_admitted_prefixes_replay_identically(data):
         CATDET, policy=policy, service=SERVICE, trace=trace
     ).run(subset)
     _assert_reports_identical(live, replay)
+
+
+#: 9 streams over 3 sequences: every sequence lane serves three streams.
+LANE_LOAD = LoadSpec(
+    pattern="poisson", num_streams=9, rate_hz=2.0, frames_per_stream=12
+)
+LANE_DATASET = DatasetSpec("kitti", num_sequences=3, frames_per_sequence=12)
+
+
+@pytest.fixture(scope="module")
+def lane_dataset():
+    return kitti_like_dataset(num_sequences=3, frames_per_sequence=12)
+
+
+class TestSequenceLanes:
+    """A traced run with more streams than sequences computes each
+    sequence's admitted frames once, on a lane pipeline, and serves the
+    other streams that lane's records — the reports must not change."""
+
+    @pytest.mark.parametrize("capacity", [1024, 2], ids=["no-shed", "cap2"])
+    @pytest.mark.parametrize(
+        "system", [SINGLE, CASCADE, CATDET, KEYFRAME], ids=lambda c: c.kind
+    )
+    def test_cold_traced_run_equals_live(self, system, capacity, lane_dataset):
+        requests = generate_load(LANE_LOAD, lane_dataset)
+        policy = ServePolicy(
+            max_batch_size=4, max_wait_ms=25.0, queue_capacity=capacity, slo_ms=500.0
+        )
+        live = DetectionServer(system, policy=policy, service=SERVICE).run(requests)
+        assert (live.frames_shed > 0) == (capacity == 2)
+        metrics = MetricsRegistry()
+        recorder = DetectionServer(
+            system, policy=policy, service=SERVICE, metrics=metrics, record_trace=True
+        )
+        traced = recorder.run(requests)
+        assert recorder.frames_replayed == 0
+        _assert_reports_identical(live, traced)
+        sources = _sources(metrics)
+        assert sum(sources.values()) == traced.frames_served
+        assert sources["replayed"] == 0 and sources["shared"] > 0
+        if not live.frames_shed:
+            assert sources["live"] == len({(r.sequence.name, r.frame) for r in requests})
+
+        # The lanes' out-trace replays like any recorded trace.
+        other = ServePolicy(max_batch_size=2, max_wait_ms=10.0, slo_ms=500.0)
+        metrics = MetricsRegistry()
+        replayer = DetectionServer(
+            system, policy=other, service=SERVICE, metrics=metrics,
+            trace=recorder.recorded_trace,
+        )
+        replay = replayer.run(requests)
+        _assert_reports_identical(
+            DetectionServer(system, policy=other, service=SERVICE).run(requests), replay
+        )
+        sources = _sources(metrics)
+        assert sum(sources.values()) == replay.frames_served
+        assert sources["replayed"] == replayer.frames_replayed
+
+    def test_autoscaled_fleet_session_cached_equals_uncached(self, tmp_path):
+        spec = FleetSpec(
+            system=CATDET,
+            dataset=LANE_DATASET,
+            load=LANE_LOAD,
+            policy=ServePolicy(
+                max_batch_size=4, max_wait_ms=20.0, queue_capacity=256, slo_ms=2000.0
+            ),
+            replicas=1,
+            devices=("edge",),
+            autoscaler=AutoscalerPolicy(
+                min_replicas=1, max_replicas=3, interval_s=0.25, cooldown_s=0.5,
+                slo_p99_ms=2000.0, scale_out_wait_share=0.2, scale_in_occupancy=0.5,
+            ),
+        )
+        session = Session(cache_dir=tmp_path)
+        cached = session.serve_fleet(spec)
+        assert session.trace_misses == 1  # the cold run recorded a trace
+        assert cached.scale_events  # the fleet actually rescaled
+        _assert_reports_identical(
+            Session().serve_fleet(spec, use_cache=False), cached
+        )
+
+    def test_stream_switching_sequences_goes_live(self, kitti_small):
+        """A lane stream that switches sequence restarts its own pipeline
+        and computes the new sequence live."""
+        first, second = kitti_small.sequences[:2]
+        plan = [("cam", first, f, f) for f in range(6)]
+        plan += [("cam", second, f, 6 + f) for f in range(6)]
+        plan += [(s, first, f, f) for s in ("a", "b") for f in range(12)]
+        requests = [
+            FrameRequest(stream=s, sequence=seq, frame=f, arrival=0.05 * t)
+            for s, seq, f, t in sorted(plan, key=lambda p: (p[3], p[0]))
+        ]
+        policy = ServePolicy(max_batch_size=4, max_wait_ms=0.0)
+        live = DetectionServer(CATDET, policy=policy, service=SERVICE).run(requests)
+        traced = DetectionServer(
+            CATDET, policy=policy, service=SERVICE, record_trace=True
+        ).run(requests)
+        _assert_reports_identical(live, traced)
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_random_admitted_subsets_record_identically_over_lanes(data):
+    """Property: 6 streams over 2 sequences, recording from an empty
+    trace — whatever subset is admitted, streams that leave their lane
+    rebuild their own state and the report equals the live one."""
+    dataset = kitti_like_dataset(num_sequences=2, frames_per_sequence=12)
+    load = LoadSpec(
+        pattern="uniform", num_streams=6, rate_hz=10.0, frames_per_stream=12
+    )
+    full = generate_load(load, dataset)
+    keep = data.draw(
+        st.lists(st.booleans(), min_size=len(full), max_size=len(full)),
+        label="kept requests",
+    )
+    subset = [r for r, k in zip(full, keep) if k]
+    if not subset:
+        return
+    policy = ServePolicy(max_batch_size=4, max_wait_ms=25.0)
+    live = DetectionServer(CATDET, policy=policy, service=SERVICE).run(subset)
+    traced = DetectionServer(
+        CATDET, policy=policy, service=SERVICE, record_trace=True
+    ).run(subset)
+    _assert_reports_identical(live, traced)
 
 
 class TestTraceStore:

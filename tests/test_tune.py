@@ -8,6 +8,7 @@ infeasible ones as such, and serve a complete re-tune from the cache.
 """
 
 import dataclasses
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +18,7 @@ from repro.api.spec import DatasetSpec, ServeSpec
 from repro.core.config import SystemConfig
 from repro.fleet import FleetSpec
 from repro.serve import LoadSpec, ServePolicy, ServiceModel
+from repro.serve.server import ServeReportStore
 from repro.serve.tune import slo_failures, sweep_reports, tune_policy
 
 SLO_P99_MS = 300.0
@@ -325,6 +327,42 @@ class TestParallelSweep:
         bad = dataclasses.replace(_base_spec(), dataset=DatasetSpec("no-such-family"))
         with pytest.raises(KeyError, match="no-such-family"):
             sweep_reports(Session(), "serve", [bad, bad], ["a", "b"], workers=workers)
+
+    def test_pool_child_failure_leaves_only_whole_entries(self, tmp_path):
+        """A point that raises in a pool child surfaces its own exception,
+        and the cache holds whole entries only — for points that finished."""
+        good = [
+            dataclasses.replace(
+                _base_spec(), policy=ServePolicy(max_batch_size=b, slo_ms=500.0)
+            )
+            for b in (1, 2, 4, 8)
+        ]
+        bad = dataclasses.replace(_base_spec(), dataset=DatasetSpec("no-such-family"))
+        specs = good[:3] + [bad] + good[3:]
+        session = Session(cache_dir=tmp_path)
+        with pytest.raises(KeyError, match="no-such-family"):
+            sweep_reports(
+                session, "serve", specs, [str(i) for i in range(5)], workers=2
+            )
+        # Only the first point ran in-process (it warmed the trace); the
+        # bad one went to the pool with the rest.
+        assert (session.trace_misses, session.trace_hits) == (1, 0)
+        expected = {
+            spec.fingerprint: Session().serve(spec, use_cache=False).to_dict()
+            for spec in good
+        }
+        store = ServeReportStore(tmp_path)
+        finished = [fp for fp in expected if fp in store]
+        assert good[0].fingerprint in finished
+        assert bad.fingerprint not in store
+        for fp in finished:
+            assert store.load(fp).to_dict() == expected[fp]
+        entries = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
+        traces = [p for p in entries if p[:-5] not in expected]
+        assert len(traces) == 1  # the one shared compute trace
+        assert len(entries) == len(finished) + 1
+        assert all(p.endswith(".json") for p in entries)
+        assert all(json.loads(p.read_text()) for p in tmp_path.rglob("*.json"))
 
 
 class TestQueueWaitBound:
