@@ -349,14 +349,10 @@ class ServingLoop:
         if self._trace is not None or self._record_trace:
             from repro.serve.trace import TraceRunner
 
-            # Sequence lanes pay off only when streams share sequences.
-            lanes = len({r.stream for r in requests}) > len(
-                {r.sequence.name for r in requests}
-            )
             self._trace_runner = TraceRunner(
                 self._trace,
                 shareable=self._shareable,
-                new_pipeline=self._new_pipeline if lanes else None,
+                new_pipeline=self._new_pipeline,
             )
         else:
             self._trace_runner = None

@@ -31,15 +31,15 @@ after re-running the replayed prefix to rebuild its causal state.
 Reports are byte-identical to the live path either way.
 
 Streams replaying the same sequence that have admitted the same frames
-produce the same outputs, so a traced run with more streams than
-sequences computes them once: every stream without stored records
-follows its sequence's *lane* (a private pipeline plus the records it
-produced).  A stream in step with its lane serves the lane's record, or
-has the lane compute the next frame once for every stream that asks; a
-stream that sheds differently diverges and goes live exactly as above.
-``frames_replayed`` still counts stored-trace frames only; the
-``serve_trace_frames_total{source}`` counter splits every traced frame
-into ``replayed``, ``shared`` and ``live``.  Shared
+produce the same outputs, so a traced run computes them once: every
+stream without stored records follows its sequence's *lane* (a private
+pipeline plus the records it produced).  A stream in step with its lane
+serves the lane's record, or has the lane compute the next frame once
+for every stream that asks; a stream that sheds differently diverges
+and goes live exactly as above.  ``frames_replayed`` still counts
+stored-trace frames only; the ``serve_trace_frames_total{source}``
+counter splits every traced frame into ``replayed``, ``shared`` and
+``live``.  Shared
 :class:`~repro.core.results.FrameResult`\\ s are only ever read
 downstream (result buffers copy them, query evaluators read them).
 """
@@ -218,7 +218,7 @@ class _Cursor:
         self.records = records
         self.lane = lane
         self.pos = 0
-        self.live = not records and lane is None
+        self.live = False
 
 
 class TraceRunner:
@@ -227,14 +227,14 @@ class TraceRunner:
     Holds one cursor per stream over the stored trace (if any) and
     accumulates the run's own outgoing trace — the replayed prefix plus
     whatever was computed live, so a partially-diverged run still leaves
-    behind a longer, more reusable trace than it started with.  Given
-    ``new_pipeline``, every stream without stored records follows its
-    sequence's lane instead, so streams replaying one sequence compute
-    each admitted frame once.
+    behind a longer, more reusable trace than it started with.  Every
+    stream without stored records follows its sequence's lane instead,
+    whose pipelines ``new_pipeline()`` builds, so streams replaying one
+    sequence compute each admitted frame once.
     """
 
     def __init__(
-        self, trace: Optional[ComputeTrace], *, shareable: bool, new_pipeline=None
+        self, trace: Optional[ComputeTrace], *, shareable: bool, new_pipeline
     ):
         self._trace = trace if trace is not None else ComputeTrace()
         self.shareable = shareable
@@ -256,7 +256,7 @@ class TraceRunner:
         stored = self._trace.streams.get(stream)
         records = stored.records if stored is not None and stored.sequence == name else []
         lane = None
-        if not records and self._new_pipeline is not None:
+        if not records:
             lane = self._lanes.get(name)
             if lane is None:
                 lane = self._lanes[name] = _Lane(self._new_pipeline(), sequence)

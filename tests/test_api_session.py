@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -263,7 +264,11 @@ class TestRacingWriters:
     def test_processes_and_threads_leave_a_whole_entry(self, tmp_path):
         """Two processes and two threads rewrite one fingerprint while a
         reader polls it: every read is a miss or a whole entry, no writer
-        fails, and the survivor is one writer's complete payload."""
+        fails, and the survivor is one writer's complete payload.
+
+        The threads start once a process has written the entry, so all
+        four writers overlap, and the reader yields between reads so it
+        does not starve the writers on a single CPU."""
         rounds = 40
         ctx = multiprocessing.get_context("spawn")
         procs = [
@@ -283,12 +288,10 @@ class TestRacingWriters:
         ]
         path = EntryStore(tmp_path).path_for(RACE_FP)
         torn = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for worker in procs + threads:
-                worker.start()
-            while any(w.is_alive() for w in threads + procs):
+
+        def read_until(workers):
+            while any(w.is_alive() for w in workers):
+                time.sleep(0)
                 try:
                     text = path.read_text(encoding="utf-8")
                 except FileNotFoundError:
@@ -300,10 +303,24 @@ class TestRacingWriters:
                     continue
                 if payload != _race_payload(payload["writer"]):
                     torn.append(payload["writer"])
-            for worker in procs + threads:
-                worker.join(timeout=60)
+
+        for proc in procs:
+            proc.start()
+        while not path.exists() and any(p.is_alive() for p in procs):
+            time.sleep(0.01)
+        interval = sys.getswitchinterval()
+        # Switch threads every microsecond while the writer threads run,
+        # so their writes interleave finely.
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            read_until(threads)
         finally:
             sys.setswitchinterval(interval)
+        read_until(procs)
+        for worker in procs + threads:
+            worker.join(timeout=60)
         assert not any(w.is_alive() for w in procs + threads)
         assert [p.exitcode for p in procs] == [0, 0]
         assert errors == []

@@ -256,8 +256,7 @@ def lane_dataset():
 
 
 class TestSequenceLanes:
-    """A traced run with more streams than sequences computes each
-    sequence's admitted frames once, on a lane pipeline, and serves the
+    """A traced run computes each sequence's admitted frames once, on a lane pipeline, and serves the
     other streams that lane's records — the reports must not change."""
 
     @pytest.mark.parametrize("capacity", [1024, 2], ids=["no-shed", "cap2"])
@@ -324,7 +323,8 @@ class TestSequenceLanes:
 
     def test_stream_switching_sequences_goes_live(self, kitti_small):
         """A lane stream that switches sequence restarts its own pipeline
-        and computes the new sequence live."""
+        and computes the new sequence live; replaying the recorded trace,
+        it stops replaying at the switch."""
         first, second = kitti_small.sequences[:2]
         plan = [("cam", first, f, f) for f in range(6)]
         plan += [("cam", second, f, 6 + f) for f in range(6)]
@@ -335,10 +335,21 @@ class TestSequenceLanes:
         ]
         policy = ServePolicy(max_batch_size=4, max_wait_ms=0.0)
         live = DetectionServer(CATDET, policy=policy, service=SERVICE).run(requests)
-        traced = DetectionServer(
+        recorder = DetectionServer(
             CATDET, policy=policy, service=SERVICE, record_trace=True
-        ).run(requests)
-        _assert_reports_identical(live, traced)
+        )
+        _assert_reports_identical(live, recorder.run(requests))
+
+        other = ServePolicy(max_batch_size=2, max_wait_ms=10.0)
+        replayer = DetectionServer(
+            CATDET, policy=other, service=SERVICE, trace=recorder.recorded_trace
+        )
+        replay = replayer.run(requests)
+        assert replay.frames_shed == 0
+        _assert_reports_identical(
+            DetectionServer(CATDET, policy=other, service=SERVICE).run(requests), replay
+        )
+        assert replayer.frames_replayed == 6 + 2 * 12
 
 
 @settings(max_examples=8, deadline=None)
