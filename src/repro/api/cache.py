@@ -89,10 +89,10 @@ class EntryStore:
     (tmp file + ``os.replace``) and an unreadable entry — missing,
     corrupt, truncated or of a foreign format — reads as a miss.  Stores
     differ only in what they serialize: subclasses implement ``load`` /
-    ``store`` over :meth:`_read` and :meth:`_write`.  All of them may
-    share one root (fingerprints are sha256 content addresses, so entry
-    kinds cannot collide), which is what lets ``repro cache
-    stats/ls/prune`` manage every kind at once.
+    ``store`` over :meth:`_read` (:meth:`_read_raw` then :meth:`_parse`)
+    and :meth:`_write`.  All of them may share one root (fingerprints
+    are sha256 content addresses, so entry kinds cannot collide), which
+    is what lets ``repro cache stats/ls/prune`` manage every kind at once.
     """
 
     def __init__(self, root: Union[str, Path]):
@@ -106,11 +106,23 @@ class EntryStore:
 
     def _read(self, fingerprint: str, section: str, parse: Callable[[Any], Any]) -> Any:
         """``parse(payload[section])`` of the entry, or ``None`` on a miss."""
+        return self._parse(self._read_raw(fingerprint), section, parse)
+
+    def _read_raw(self, fingerprint: str) -> Optional[bytes]:
+        """The entry's bytes, or ``None`` when it cannot be read."""
         try:
-            with open(self.path_for(fingerprint), "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            return parse(payload[section])
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError):
+            return self.path_for(fingerprint).read_bytes()
+        except OSError:
+            return None
+
+    @staticmethod
+    def _parse(raw: Optional[bytes], section: str, parse: Callable[[Any], Any]) -> Any:
+        """``parse(payload[section])`` of an entry's bytes, or ``None`` on a miss."""
+        if raw is None:
+            return None
+        try:
+            return parse(json.loads(raw)[section])
+        except (json.JSONDecodeError, KeyError, ValueError, TypeError):
             return None
 
     def _write(self, fingerprint: str, payload: Dict[str, Any]) -> Path:

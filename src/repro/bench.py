@@ -36,6 +36,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.tracker.catdet_tracker import CaTDetTracker, TrackerConfig
 from repro.tracker.reference import ScalarCaTDetTracker, ScalarSort
 from repro.tracker.sort import Sort, SortConfig
+from repro.utils.parmap import effective_cpu_count
 
 #: The system configurations benchmarked per entry, one per registered kind.
 BENCH_SYSTEMS: Dict[str, SystemConfig] = {
@@ -294,7 +295,6 @@ def bench_tune_sweep(
 
     from repro.api.session import Session
     from repro.api.spec import DatasetSpec, ServeSpec
-    from repro.engine.scheduler import effective_cpu_count
     from repro.serve import LoadSpec, ServePolicy, ServiceModel
 
     if workers is None:
@@ -365,7 +365,6 @@ def bench_paper_e2e(
     """
     from repro.api.session import Session
     from repro.api.spec import DatasetSpec, EvalSpec, ExperimentSpec
-    from repro.engine.scheduler import effective_cpu_count
 
     pairs = 5
     dataset = DatasetSpec("kitti", num_sequences=6, frames_per_sequence=4)
@@ -418,7 +417,6 @@ def bench_serve_e2e(on_progress: Optional[Callable[[str], None]] = None) -> Dict
     """Host wall µs per served frame (median of 3 cold servers) beside the
     modelled :class:`~repro.serve.ServiceModel` device µs, unbatched and in
     batches of up to 8.  Neither is gated: host µs depend on the machine."""
-    from repro.engine.scheduler import effective_cpu_count
     from repro.serve import DetectionServer, LoadSpec, ServePolicy, ServiceModel, generate_load
 
     system = SystemConfig("catdet", "resnet50", "resnet10a", detailed_ops=False)
@@ -447,7 +445,6 @@ def bench_serve_e2e(on_progress: Optional[Callable[[str], None]] = None) -> Dict
 def bench_metrics(repeats: int = 3) -> Dict[str, Any]:
     """Calls/sec of ``mean_delay(0.8)`` and ``mean_ap()`` on a fixed, seeded
     pool of two classes with 2,000 scores and 100 tracks each (never gated)."""
-    from repro.engine.scheduler import effective_cpu_count
     from repro.metrics.delay import TrackDelayRecord
     from repro.metrics.evaluate import ClassEvaluation, EvaluationResult
 
@@ -473,8 +470,6 @@ def run_bench(
     on_progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, Any]:
     """Run the full harness and return the BENCH payload."""
-    from repro.engine.scheduler import effective_cpu_count
-
     if quick:
         # Quick cuts repeats and the system-level frame counts, but keeps
         # the kernel workloads identical to the full run: the gated

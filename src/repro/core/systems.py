@@ -262,11 +262,6 @@ class CascadedSystem(DetectionSystem):
     def _proposal_macs(self, sequence: Sequence) -> float:
         return self._proposal_macs_model.full_frame(sequence)
 
-    def _refinement_macs(
-        self, sequence: Sequence, coverage: float, n_regions: int
-    ) -> float:
-        return self._refinement_macs_model.regional(sequence, coverage, n_regions)
-
     def _regions_for_frame(self, sequence: Sequence, frame: int) -> Detections:
         proposals = self.proposal_detector.detect_full_frame(sequence, frame)
         return proposals.above_score(self.c_thresh)

@@ -18,7 +18,8 @@ writes, corrupt-entry-is-a-miss), keyed by
 :func:`trace_fingerprint` — a digest of the system/dataset/load
 sections *only*, so every policy/service/query/replica variation of one
 deployment shares a single trace, and serve and fleet runs share it
-too.
+too.  A process decodes a stored trace once while its bytes stay the
+same (:class:`TraceStore` holds the last one it decoded, read-only).
 
 :class:`TraceRunner` + :func:`traced_execute` implement the replay fast
 path of the one serving event loop (:class:`~repro.fleet.loop.
@@ -49,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.cache import EntryStore
 from repro.core.config import config_to_dict
@@ -107,6 +108,10 @@ class FrameRecord:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FrameRecord":
         result = _frame_from_dict(data["result"])
+        det = result.detections
+        for array in (det.boxes, det.scores, det.labels, result.track_ids):
+            if array is not None:
+                array.flags.writeable = False
         return cls(
             frame=result.frame,
             result=result,
@@ -171,6 +176,10 @@ class ComputeTrace:
         )
 
 
+#: The last trace this process decoded: ``(fingerprint, entry bytes, trace)``.
+_held: Optional[Tuple[str, bytes, ComputeTrace]] = None
+
+
 class TraceStore(EntryStore):
     """Content-addressed on-disk store of :class:`ComputeTrace`\\ s.
 
@@ -180,10 +189,27 @@ class TraceStore(EntryStore):
     concurrent overwrite at worst loses a few replayable frames until
     the next long run re-records them; it never corrupts an entry or
     changes any report).
+
+    ``load`` decodes an entry only when its fingerprint or bytes differ
+    from the one ``(fingerprint, bytes, trace)`` entry this process
+    holds (a sweep replays one trace), so an overwritten, corrupt or
+    deleted entry is never served from it.  Runs share the held trace,
+    hence its read-only arrays.  The entry is module-level because a
+    parallel sweep runs each point in a fresh ``Session`` in a pool
+    child (:func:`repro.serve.tune._evaluate_point`); forked children
+    start with the parent's.
     """
 
     def load(self, fingerprint: str) -> Optional[ComputeTrace]:
-        return self._read(fingerprint, "trace", ComputeTrace.from_dict)
+        global _held
+        held = _held  # read once: another thread may replace it meanwhile
+        raw = self._read_raw(fingerprint)
+        if held is not None and held[:2] == (fingerprint, raw):
+            return held[2]
+        trace = self._parse(raw, "trace", ComputeTrace.from_dict)
+        if trace is not None:
+            _held = (fingerprint, raw, trace)
+        return trace
 
     def store(self, fingerprint: str, trace: ComputeTrace) -> Path:
         return self._write(

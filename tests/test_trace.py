@@ -22,6 +22,7 @@ from repro.datasets.kitti import kitti_like_dataset
 from repro.fleet import AutoscalerPolicy, FleetServer, FleetSpec
 from repro.obs import MetricsRegistry, Sink
 from repro.query import Eventually, QuerySpec, TrackPersisted
+from repro.serve import trace as trace_mod
 from repro.serve import (
     DetectionServer,
     FrameRequest,
@@ -379,10 +380,15 @@ def test_random_admitted_subsets_record_identically_over_lanes(data):
 
 
 class TestTraceStore:
-    def _trace(self, kitti_small):
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self, monkeypatch):
+        """Each test starts with no held trace, whatever ran before."""
+        monkeypatch.setattr(trace_mod, "_held", None)
+
+    def _trace(self, kitti_small, system=CATDET):
         requests = generate_load(LOAD, kitti_small)
         _, trace = _record(
-            CATDET, requests, policy=ServePolicy(max_batch_size=1)
+            system, requests, policy=ServePolicy(max_batch_size=1)
         )
         return trace
 
@@ -415,6 +421,85 @@ class TestTraceStore:
     def test_format_marker_is_checked(self):
         with pytest.raises(ValueError):
             ComputeTrace.from_dict({"format": "bogus", "streams": {}})
+
+    def test_overwritten_entry_is_decoded_again(self, tmp_path, kitti_small):
+        store = TraceStore(tmp_path)
+        fp = "ab" + "1" * 62
+        store.store(fp, self._trace(kitti_small))
+        first = store.load(fp)
+        assert store.load(fp) is first  # unchanged bytes: the held trace
+        other = self._trace(kitti_small, system=CASCADE)
+        assert other.to_dict() != first.to_dict()
+        store.store(fp, other)
+        loaded = store.load(fp)
+        assert loaded is not first
+        assert loaded.to_dict() == other.to_dict()
+
+    def test_corrupt_or_deleted_entry_after_a_load_is_a_miss(
+        self, tmp_path, kitti_small
+    ):
+        store = TraceStore(tmp_path)
+        fp = "cd" + "1" * 62
+        store.store(fp, self._trace(kitti_small))
+        assert store.load(fp) is not None
+        path = store.path_for(fp)
+        path.write_bytes(path.read_bytes()[:-1])
+        assert store.load(fp) is None
+        path.unlink()
+        assert store.load(fp) is None
+
+    def test_memoized_arrays_are_read_only(self, tmp_path, kitti_small):
+        store = TraceStore(tmp_path)
+        fp = "ef" + "1" * 62
+        store.store(fp, self._trace(kitti_small))
+        result = next(
+            rec.result
+            for st in store.load(fp).streams.values()
+            for rec in st.records
+            if len(rec.result.detections.scores)
+        )
+        for array in (
+            result.detections.boxes,
+            result.detections.scores,
+            result.detections.labels,
+            result.track_ids,
+        ):
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_cold_tune_decodes_the_trace_once(self, tmp_path, monkeypatch):
+        spec = ServeSpec(
+            system=CATDET,
+            dataset=DatasetSpec("kitti", num_sequences=2, frames_per_sequence=12),
+            load=LoadSpec(
+                pattern="uniform", num_streams=4, rate_hz=10.0, frames_per_stream=12
+            ),
+            policy=ServePolicy(),
+            service=SERVICE,
+        )
+        decodes = []
+        decode = ComputeTrace.from_dict.__func__
+        monkeypatch.setattr(
+            ComputeTrace,
+            "from_dict",
+            classmethod(lambda cls, data: decodes.append(1) or decode(cls, data)),
+        )
+
+        def tune(session, **kw):
+            result = session.tune_serve(
+                spec, slo_p99_ms=1000.0, batch_sizes=(1, 2, 4),
+                max_waits_ms=(0.0, 25.0), workers=1, **kw,
+            )
+            return [
+                (c.spec.fingerprint, c.report.to_dict(), c.feasible, c.alias_of)
+                for c in result.candidates
+            ]
+
+        session = Session(cache_dir=tmp_path)
+        cold = tune(session)
+        assert session.trace_hits >= 2  # later points replayed the trace
+        assert len(decodes) <= 1
+        assert cold == tune(Session(), use_cache=False)
 
 
 class TestTraceFingerprint:
