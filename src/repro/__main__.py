@@ -266,20 +266,14 @@ def cmd_spec(args: argparse.Namespace) -> int:
 
 
 def _serving_sections(args: argparse.Namespace) -> dict:
-    """The system, dataset, load and policy sections serve and fleet
-    specs share, from the common serving flags."""
+    """The deployment sections serve and fleet specs share, from the
+    serving flags a command has: the dataset and load (every serving
+    command), the system (when it names one) and the policy (when it has
+    policy flags; otherwise the default policy applies)."""
     from repro.serve.loadgen import LoadSpec
     from repro.serve.server import ServePolicy
 
-    return dict(
-        system=SystemConfig(
-            args.kind,
-            args.refinement,
-            args.proposal,
-            c_thresh=args.c_thresh,
-            seed=args.seed,
-            detailed_ops=False,  # throughput path: skip Table-3 extras
-        ),
+    sections = dict(
         dataset=DatasetSpec(
             args.dataset,
             num_sequences=args.sequences,
@@ -293,14 +287,25 @@ def _serving_sections(args: argparse.Namespace) -> dict:
             seed=args.load_seed,
             rates=args.rate_per_stream,
         ),
-        policy=ServePolicy(
+    )
+    if hasattr(args, "kind"):
+        sections["system"] = SystemConfig(
+            args.kind,
+            args.refinement,
+            args.proposal,
+            c_thresh=args.c_thresh,
+            seed=args.seed,
+            detailed_ops=False,  # throughput path: skip Table-3 extras
+        )
+    if hasattr(args, "batch_size"):
+        sections["policy"] = ServePolicy(
             max_batch_size=args.batch_size,
             max_wait_ms=args.max_wait_ms,
             queue_capacity=args.queue_capacity,
             shed_policy=args.shed,
             slo_ms=args.slo_ms,
-        ),
-    )
+        )
+    return sections
 
 
 def _serve_spec_from_args(args: argparse.Namespace):
@@ -409,9 +414,25 @@ def _write_tune_json(path: str, result) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=True)
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
+def _serve_into_sink(args: argparse.Namespace, session: Session, spec, metrics=None):
+    """Serve a serve or fleet ``spec`` through ``session`` into the
+    ``--sink`` sink (closed afterwards); ``None``, with the error
+    printed, when the sink spec is bad."""
     from repro.obs import make_sink
 
+    try:
+        sink = make_sink(args.sink) if args.sink else None
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    try:
+        return session.serve(spec, use_cache=not args.no_cache, metrics=metrics, sinks=sink)
+    finally:
+        if sink is not None:
+            sink.close()
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
     try:
         spec = _serve_spec_from_args(args)
     except (KeyError, ValueError) as exc:
@@ -437,16 +458,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             ),
             args.tune_out,
         )
-    try:
-        sink = make_sink(args.sink) if args.sink else None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    report = _serve_into_sink(args, session, spec)
+    if report is None:
         return 2
-    try:
-        report = session.serve(spec, use_cache=not args.no_cache, sinks=sink)
-    finally:
-        if sink is not None:
-            sink.close()
     print(f"serving: {spec.label}")
     print(f"fingerprint: {spec.fingerprint[:16]}")
     print(report.format())
@@ -508,25 +522,11 @@ def cmd_table7(args: argparse.Namespace) -> int:
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.serve.loadgen import LoadSpec, generate_load, schedule_to_dicts
+    from repro.serve.loadgen import generate_load, schedule_to_dicts
 
-    session = _session(args)
-    dataset = session.dataset(
-        DatasetSpec(
-            args.dataset,
-            num_sequences=args.sequences,
-            frames_per_sequence=args.seq_frames,
-        )
-    )
-    load = LoadSpec(
-        pattern=args.pattern,
-        num_streams=args.streams,
-        rate_hz=args.rate,
-        frames_per_stream=args.frames,
-        seed=args.load_seed,
-        rates=args.rate_per_stream,
-    )
-    requests = generate_load(load, dataset)
+    sections = _serving_sections(args)
+    load = sections["load"]
+    requests = generate_load(load, _session(args).dataset(sections["dataset"]))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(
@@ -585,19 +585,12 @@ def _fleet_spec_from_args(args: argparse.Namespace):
 
 
 def cmd_fleet_run(args: argparse.Namespace) -> int:
-    from repro.obs import make_sink
-
     try:
         spec = _fleet_spec_from_args(args)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     session = _session(args)
-    try:
-        sink = make_sink(args.sink) if args.sink else None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     metrics = None
     reporter = None
     if args.status_dir:
@@ -612,13 +605,11 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
             registry=metrics,
         )
         reporter.beat(force=True)
-    try:
-        report = session.serve_fleet(
-            spec, use_cache=not args.no_cache, metrics=metrics, sinks=sink
-        )
-    finally:
-        if sink is not None:
-            sink.close()
+    report = _serve_into_sink(args, session, spec, metrics)
+    if report is None:
+        if reporter is not None:
+            reporter.close()  # a bad --sink: no fleet ran
+        return 2
     if reporter is not None:
         reporter.extra.update(
             {
@@ -732,50 +723,18 @@ def cmd_query(args: argparse.Namespace) -> int:
         print(f"error: bad query spec: {exc}", file=sys.stderr)
         return 2
 
-    system = SystemConfig(
-        args.kind,
-        args.refinement,
-        args.proposal,
-        c_thresh=args.c_thresh,
-        seed=args.seed,
-        detailed_ops=False,
-    )
-    dataset_spec = DatasetSpec(
-        args.dataset,
-        num_sequences=args.sequences,
-        frames_per_sequence=args.seq_frames,
-    )
+    sections = _serving_sections(args)
+    system, dataset_spec = sections["system"], sections["dataset"]
     session = _session(args)
 
     if args.serve:
         # Online: per-stream evaluators inside the micro-batched server.
         from repro.api.spec import ServeSpec
-        from repro.obs import make_sink
-        from repro.serve.loadgen import LoadSpec
 
-        spec = ServeSpec(
-            system=system,
-            dataset=dataset_spec,
-            load=LoadSpec(
-                pattern=args.pattern,
-                num_streams=args.streams,
-                rate_hz=args.rate,
-                frames_per_stream=args.frames,
-                seed=args.load_seed,
-                rates=args.rate_per_stream,
-            ),
-            query=query,
-        )
-        try:
-            sink = make_sink(args.sink) if args.sink else None
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        spec = ServeSpec(**sections, query=query)
+        report = _serve_into_sink(args, session, spec)
+        if report is None:
             return 2
-        try:
-            report = session.serve(spec, use_cache=not args.no_cache, sinks=sink)
-        finally:
-            if sink is not None:
-                sink.close()
         qreport = report.query_report()
         mode = f"served ({spec.label})"
     else:
@@ -838,6 +797,30 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
                         default=None, metavar="R0,R1,...",
                         help="heterogeneous per-stream rates in frames/s "
                         "(stream i uses rate i mod len; overrides --rate)")
+
+
+def _add_deployment_flags(parser: argparse.ArgumentParser) -> None:
+    """The system, load and policy flags every deployment spec shares
+    (``serve``, ``fleet run``, ``fleet tune``; see :func:`_serving_sections`)."""
+    from repro.api.registry import SYSTEMS
+
+    parser.add_argument("kind", choices=SYSTEMS.names())
+    parser.add_argument("refinement")
+    parser.add_argument("proposal", nargs="?", default=None)
+    parser.add_argument("--c-thresh", type=float, default=0.1)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="detector-simulation seed")
+    _add_serve_flags(parser)
+    parser.add_argument("--batch-size", type=int, default=8,
+                        help="micro-batch flush size per replica (1 = unbatched)")
+    parser.add_argument("--max-wait-ms", type=float, default=25.0,
+                        help="max coalescing delay for the oldest ready frame")
+    parser.add_argument("--queue-capacity", type=int, default=64,
+                        help="per-replica admission queue bound before shedding")
+    parser.add_argument("--shed", choices=("oldest", "newest"), default="oldest",
+                        help="which frame to drop when a replica queue overflows")
+    parser.add_argument("--slo-ms", type=float, default=200.0,
+                        help="end-to-end latency objective")
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
@@ -1185,23 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p = sub.add_parser(
         "serve", help="micro-batched multi-stream serving with an SLO report"
     )
-    serve_p.add_argument("kind", choices=SYSTEMS.names())
-    serve_p.add_argument("refinement")
-    serve_p.add_argument("proposal", nargs="?", default=None)
-    serve_p.add_argument("--c-thresh", type=float, default=0.1)
-    serve_p.add_argument("--seed", type=int, default=0,
-                         help="detector-simulation seed")
-    _add_serve_flags(serve_p)
-    serve_p.add_argument("--batch-size", type=int, default=8,
-                         help="micro-batch flush size (1 = unbatched)")
-    serve_p.add_argument("--max-wait-ms", type=float, default=25.0,
-                         help="max coalescing delay for the oldest ready frame")
-    serve_p.add_argument("--queue-capacity", type=int, default=64,
-                         help="admission queue bound before shedding")
-    serve_p.add_argument("--shed", choices=("oldest", "newest"), default="oldest",
-                         help="which frame to drop when the queue overflows")
-    serve_p.add_argument("--slo-ms", type=float, default=200.0,
-                         help="end-to-end latency objective")
+    _add_deployment_flags(serve_p)
     from repro.cost import DEVICE_PROFILES
     from repro.fleet.tune import DEFAULT_REPLICA_COUNTS
     from repro.serve.tune import DEFAULT_BATCH_SIZES, DEFAULT_MAX_WAITS_MS
@@ -1294,23 +1261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _add_fleet_flags(p: argparse.ArgumentParser) -> None:
         """System, load, policy and fleet-shape flags shared by run/tune."""
-        p.add_argument("kind", choices=SYSTEMS.names())
-        p.add_argument("refinement")
-        p.add_argument("proposal", nargs="?", default=None)
-        p.add_argument("--c-thresh", type=float, default=0.1)
-        p.add_argument("--seed", type=int, default=0,
-                       help="detector-simulation seed")
-        _add_serve_flags(p)
-        p.add_argument("--batch-size", type=int, default=8,
-                       help="per-replica micro-batch flush size")
-        p.add_argument("--max-wait-ms", type=float, default=25.0,
-                       help="max coalescing delay for the oldest ready frame")
-        p.add_argument("--queue-capacity", type=int, default=64,
-                       help="per-replica admission queue bound before shedding")
-        p.add_argument("--shed", choices=("oldest", "newest"), default="oldest",
-                       help="which frame to drop when a replica queue overflows")
-        p.add_argument("--slo-ms", type=float, default=200.0,
-                       help="end-to-end latency objective")
+        _add_deployment_flags(p)
         p.add_argument("--replicas", type=int, default=2,
                        help="initial replica count (the static count "
                        "without --autoscale)")

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
+from repro.api.spec import content_digest
 from repro.core.config import SystemConfig, config_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,8 +68,7 @@ def experiment_key(
         "dataset": dataset_fingerprint,
         "eval": eval_spec.result_key_dict(),
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_digest(payload)
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,16 @@ class EntryStore:
     is what lets ``repro cache stats/ls/prune`` manage every kind at once.
     """
 
+    #: The ``format`` tag of this store's entries.
+    ENTRY_FORMAT: Optional[str] = None
+
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.ENTRY_FORMAT is not None:
+            _STORE_KINDS[cls.ENTRY_FORMAT] = cls
 
     def path_for(self, fingerprint: str) -> Path:
         return self.root / fingerprint[:2] / f"{fingerprint}.json"
@@ -116,12 +124,16 @@ class EntryStore:
             return None
 
     @staticmethod
-    def _parse(raw: Optional[bytes], section: str, parse: Callable[[Any], Any]) -> Any:
-        """``parse(payload[section])`` of an entry's bytes, or ``None`` on a miss."""
+    def _parse(
+        raw: Optional[bytes], section: Optional[str], parse: Callable[[Any], Any]
+    ) -> Any:
+        """``parse(payload[section])`` of an entry's bytes (the whole
+        payload when ``section`` is ``None``), or ``None`` on a miss."""
         if raw is None:
             return None
         try:
-            return parse(json.loads(raw)[section])
+            payload = json.loads(raw)
+            return parse(payload if section is None else payload[section])
         except (json.JSONDecodeError, KeyError, ValueError, TypeError):
             return None
 
@@ -136,14 +148,52 @@ class EntryStore:
         path = self.path_for(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, allow_nan=True))
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload, allow_nan=True))
+            os.replace(tmp, path)
+        except BaseException:
+            # ``stats``/``ls``/``prune`` see only ``*.json`` entries: a temp
+            # file left behind here would never be counted or deleted.
+            tmp.unlink(missing_ok=True)
+            raise
         return path
+
+    def _write_entry(self, fingerprint: str, **sections: Any) -> Path:
+        """Atomically write this store's entry for ``fingerprint``: its
+        ``format`` tag, the ``fingerprint``, then ``sections`` in order."""
+        return self._write(
+            fingerprint,
+            {"format": self.ENTRY_FORMAT, "fingerprint": fingerprint, **sections},
+        )
+
+    @classmethod
+    def _label(cls, payload: Dict[str, Any]) -> Optional[str]:
+        """The human label of one of this store's entry payloads."""
+        return None
+
+    def _entry_label(self, fingerprint: str) -> Optional[str]:
+        """The label of the entry under ``fingerprint``, whichever store
+        wrote it (by its ``format`` tag); ``None`` when unreadable."""
+        # Each store kind registers its entry format when its module loads.
+        import repro.fleet  # noqa: F401  (the serve and fleet report stores)
+        import repro.serve.trace  # noqa: F401
+
+        return self._parse(
+            self._read_raw(fingerprint),
+            None,
+            lambda payload: _STORE_KINDS[payload["format"]]._label(payload),
+        )
+
+
+#: Entry ``format`` tag -> the :class:`EntryStore` subclass writing it.
+_STORE_KINDS: Dict[str, type] = {}
 
 
 class ResultCache(EntryStore):
     """Content-addressed store of serialized :class:`ExperimentResult`\\ s."""
+
+    ENTRY_FORMAT = "repro-result-cache/1"
 
     def __init__(self, root: Union[str, Path]):
         super().__init__(root)
@@ -179,15 +229,7 @@ class ResultCache(EntryStore):
         """
         from repro.harness.io import experiment_to_dict
 
-        return self._write(
-            fingerprint,
-            {
-                "format": "repro-result-cache/1",
-                "fingerprint": fingerprint,
-                "spec": spec,
-                "result": experiment_to_dict(result),
-            },
-        )
+        return self._write_entry(fingerprint, spec=spec, result=experiment_to_dict(result))
 
     def __len__(self) -> int:
         if not self.root.exists():
@@ -217,9 +259,7 @@ class ResultCache(EntryStore):
                 stat = path.stat()
             except OSError:
                 continue  # pruned/overwritten concurrently
-            label = None
-            if with_labels:
-                label = self._entry_label(path)
+            label = self._entry_label(path.stem) if with_labels else None
             out.append(
                 CacheEntry(
                     fingerprint=path.stem,
@@ -232,22 +272,17 @@ class ResultCache(EntryStore):
         out.sort(key=lambda e: e.mtime, reverse=True)
         return out
 
-    @staticmethod
-    def _entry_label(path: Path) -> Optional[str]:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            spec = payload.get("spec") or {}
-            system = spec.get("system") or payload.get("result", {}).get("config")
-            if system is None:
-                return None
-            from repro.core.config import config_from_dict
+    @classmethod
+    def _label(cls, payload: Dict[str, Any]) -> Optional[str]:
+        from repro.core.config import config_from_dict
 
-            label = config_from_dict(system).label
-            family = (spec.get("dataset") or {}).get("family")
-            return f"{label} @ {family}" if family else label
-        except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError):
+        spec = payload.get("spec") or {}
+        system = spec.get("system") or payload.get("result", {}).get("config")
+        if system is None:
             return None
+        label = config_from_dict(system).label
+        family = (spec.get("dataset") or {}).get("family")
+        return f"{label} @ {family}" if family else label
 
     def stats(self) -> Dict[str, Any]:
         """Aggregate accounting: entry count, bytes, oldest/newest age."""

@@ -282,35 +282,18 @@ class Session:
         ``sinks`` (:class:`~repro.obs.sinks.Sink`\\ s) are forwarded to
         the live server; they never affect the spec's fingerprint, and a
         cache hit — having simulated nothing — emits nothing.
-        """
-        from repro.serve.server import DetectionServer, ServeReportStore
 
-        def server(trace, record_trace):
-            return DetectionServer(
-                spec.system,
-                policy=spec.policy,
-                service=spec.service,
-                metrics=metrics,
-                sinks=sinks,
-                query=spec.query,
-                trace=trace,
-                record_trace=record_trace,
-            )
-
-        return self._serve_cached(spec, ServeReportStore, server, use_cache)
-
-    def _serve_cached(self, spec: "Any", store_cls, make_server, use_cache: bool):
-        """The report of ``spec`` (a serve or fleet spec), cached by fingerprint.
-
-        On a miss, ``make_server(trace, record_trace)`` builds the live
-        server, which replays the stored compute trace of the spec's
-        (system, dataset, load) and records its own.  Reports share the
-        experiment cache's root: `repro cache stats/ls/prune` then manage
-        them too (content addresses don't collide).
+        Any :class:`~repro.api.spec.DeploymentSpec` is served the same
+        way (:meth:`serve_fleet` is this method for a fleet spec): on a
+        miss, the spec's own live server replays the stored compute
+        trace of the spec's (system, dataset, load) and records its own,
+        and the report lands in the spec kind's report store.  Reports
+        share the experiment cache's root: `repro cache stats/ls/prune`
+        then manage them too (content addresses don't collide).
         """
         from repro.serve.loadgen import generate_load
 
-        store = store_cls(self.cache.root) if self.cache is not None else None
+        store = spec._store_cls()(self.cache.root) if self.cache is not None else None
         if store is not None and use_cache:
             cached = store.load(spec.fingerprint)
             if cached is not None:
@@ -319,7 +302,9 @@ class Session:
             self.cache.misses += 1
         requests = generate_load(spec.load, self.dataset(spec.dataset))
         trace_store, trace_key, trace = self._load_trace(spec, use_cache)
-        server = make_server(trace, trace_store is not None)
+        server = spec._server(
+            metrics=metrics, sinks=sinks, trace=trace, record_trace=trace_store is not None
+        )
         report = server.run(requests)
         self._finish_trace(trace_store, trace_key, trace, server)
         if store is not None and use_cache:
@@ -383,14 +368,7 @@ class Session:
         ``fleet.summary`` record streams); they never affect the
         fingerprint, and a cache hit emits nothing.
         """
-        from repro.fleet.server import FleetReportStore, FleetServer
-
-        def server(trace, record_trace):
-            return FleetServer(
-                spec, metrics=metrics, sinks=sinks, trace=trace, record_trace=record_trace
-            )
-
-        return self._serve_cached(spec, FleetReportStore, server, use_cache)
+        return self.serve(spec, use_cache=use_cache, metrics=metrics, sinks=sinks)
 
     def tune_fleet(
         self,

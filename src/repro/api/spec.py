@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
 from repro.core.config import SystemConfig, config_from_dict, config_to_dict
 from repro.metrics.kitti_eval import DIFFICULTIES
@@ -28,8 +29,43 @@ SPEC_FORMAT = "repro-spec/1"
 _AP_METHODS = ("r40", "voc11")
 
 
+def content_digest(payload: Any) -> str:
+    """sha256 of ``payload``'s canonical JSON (sorted keys, no spaces)."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class FlatSection:
+    """``to_dict``/``from_dict`` of a spec section whose fields are all
+    plain JSON values, serialized under their own names in field order."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {name: getattr(self, name) for name in _field_names(type(self))}
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]):
+        return cls(**_known_fields(cls, data))
+
+
+class JsonRoundTrip:
+    """``to_json``/``from_json`` over a spec's ``to_dict``/``from_dict``,
+    and the content fingerprint that keys its cached result."""
+
+    def to_json(self, *, indent: Optional[int] = None) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
+    @property
+    def fingerprint(self) -> str:
+        """Stable content address: :func:`content_digest` of :meth:`to_dict`."""
+        return content_digest(self.to_dict())
+
+
 @dataclass(frozen=True)
-class DatasetSpec:
+class DatasetSpec(FlatSection):
     """Which evaluation data to generate.
 
     Parameters
@@ -55,21 +91,9 @@ class DatasetSpec:
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "family": self.family,
-            "num_sequences": self.num_sequences,
-            "frames_per_sequence": self.frames_per_sequence,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "DatasetSpec":
-        return cls(**_known_fields(cls, data))
-
 
 @dataclass(frozen=True)
-class EvalSpec:
+class EvalSpec(FlatSection):
     """How to score a run.
 
     Parameters
@@ -121,13 +145,9 @@ class EvalSpec:
         """
         return {"difficulties": list(self.difficulties), "with_delay": self.with_delay}
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "EvalSpec":
-        return cls(**_known_fields(cls, data))
-
 
 @dataclass(frozen=True)
-class ExecSpec:
+class ExecSpec(FlatSection):
     """How to execute a run — never affects the numbers, only the speed.
 
     Parameters
@@ -156,20 +176,9 @@ class ExecSpec:
         if self.queue_dir is not None and not isinstance(self.queue_dir, str):
             raise ValueError(f"queue_dir must be a string path, got {self.queue_dir!r}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "executor": self.executor,
-            "workers": self.workers,
-            "queue_dir": self.queue_dir,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExecSpec":
-        return cls(**_known_fields(cls, data))
-
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(JsonRoundTrip):
     """One fully-described experiment: system + data + scoring + execution."""
 
     system: SystemConfig
@@ -209,13 +218,6 @@ class ExperimentSpec:
             exec=ExecSpec.from_dict(data.get("exec", {})),
         )
 
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        return cls.from_dict(json.loads(text))
-
     @property
     def fingerprint(self) -> str:
         """Stable content address of the *result* this spec determines.
@@ -233,8 +235,7 @@ class ExperimentSpec:
             "dataset": self.dataset.to_dict(),
             "eval": self.eval.result_key_dict(),
         }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return content_digest(payload)
 
     def with_system(self, **changes: Any) -> "ExperimentSpec":
         """A copy with :class:`SystemConfig` fields replaced."""
@@ -259,6 +260,13 @@ class ExperimentSpec:
         return self.with_system(device=device)
 
 
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """A dataclass's field names (``fields`` rebuilds them on every call,
+    and sections are serialized on every fingerprint)."""
+    return tuple(f.name for f in fields(cls))
+
+
 def _known_fields(cls, data: Dict[str, Any]) -> Dict[str, Any]:
     known = set(cls.__dataclass_fields__)
     unknown = set(data) - known
@@ -275,25 +283,121 @@ SERVE_SPEC_FORMAT = "repro-serve-spec/1"
 
 
 @dataclass(frozen=True)
-class ServeSpec:
-    """One fully-described serving deployment: system + data + load + knobs.
+class DeploymentSpec(JsonRoundTrip):
+    """What every served deployment declares: system + data + load + policy.
 
-    The online-serving sibling of :class:`ExperimentSpec`: which system
-    serves (:class:`~repro.core.config.SystemConfig`), which dataset
-    family supplies the camera streams (:class:`DatasetSpec`), the
-    open-loop load offered (:class:`~repro.serve.loadgen.LoadSpec`), the
-    server's admission/batching policy
-    (:class:`~repro.serve.server.ServePolicy`) and the accelerator timing
-    model (:class:`~repro.serve.server.ServiceModel`).  Frozen, JSON
-    round-trippable, and content-fingerprinted: serving is a
-    deterministic simulation, so a spec's throughput/latency report is a
-    pure function of the spec and
-    :meth:`repro.api.session.Session.serve` caches it by fingerprint.
+    The shared base of :class:`ServeSpec` and
+    :class:`~repro.fleet.spec.FleetSpec`: which system serves
+    (:class:`~repro.core.config.SystemConfig`), which dataset family
+    supplies the camera streams (:class:`DatasetSpec`), the open-loop
+    load offered (:class:`~repro.serve.loadgen.LoadSpec`), the
+    admission/batching policy (:class:`~repro.serve.server.ServePolicy`)
+    and an optional scenario query
+    (:class:`~repro.query.spec.QuerySpec`) evaluated online per stream,
+    whose windows land in the report's ``query_windows`` section.
 
-    Unlike :class:`ExperimentSpec`, *every* section is result-affecting
-    (the policy changes batching, the service model changes every
-    latency), so the fingerprint covers the whole spec — including the
-    ``device``.
+    Serving is a deterministic simulation, so every section is
+    result-affecting and the fingerprint hashes the whole :meth:`to_dict`
+    (the same deployment under a different query is a different report).
+
+    A subclass names its ``FORMAT`` and ``KIND`` and adds its own
+    sections as dataclass fields, serialized by ``_fields_dict()`` and
+    read back by ``_fields_from_dict(data)``.  ``knobs`` spells the knobs
+    a tune of its kind varies, ``_store_cls()`` is its
+    :class:`~repro.serve.server.ReportStore` and ``_server(**options)``
+    builds its live server (``options``: ``metrics``, ``sinks``,
+    ``trace``, ``record_trace``).
+    """
+
+    FORMAT: ClassVar[str] = ""
+    KIND: ClassVar[str] = ""
+
+    system: SystemConfig
+    dataset: DatasetSpec = field(default_factory=DatasetSpec)
+    load: "Any" = None
+    policy: "Any" = None
+    query: "Any" = field(default=None, kw_only=True)
+
+    def __post_init__(self) -> None:
+        from repro.query.spec import QuerySpec
+        from repro.serve.loadgen import LoadSpec
+        from repro.serve.server import ServePolicy
+
+        if not isinstance(self.system, SystemConfig):
+            raise TypeError(
+                f"system must be a SystemConfig, got {type(self.system).__name__}"
+            )
+        for name, cls in (("load", LoadSpec), ("policy", ServePolicy)):
+            value = getattr(self, name)
+            if value is None:
+                object.__setattr__(self, name, cls())
+            elif not isinstance(value, cls):
+                raise TypeError(
+                    f"{name} must be a {cls.__name__}, got {type(value).__name__}"
+                )
+        if self.query is not None and not isinstance(self.query, QuerySpec):
+            raise TypeError(
+                f"query must be a QuerySpec, got {type(self.query).__name__}"
+            )
+
+    #: What :attr:`label` puts between the system and the dataset.
+    _shape: ClassVar[str] = ""
+
+    @property
+    def label(self) -> str:
+        return (
+            f"{self.system.label}{self._shape} @ {self.dataset.family} "
+            f"x{self.load.num_streams} {self.load.pattern}"
+        )
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "format": self.FORMAT,
+            "system": config_to_dict(self.system),
+            "dataset": self.dataset.to_dict(),
+            "load": self.load.to_dict(),
+            "policy": self.policy.to_dict(),
+            **self._fields_dict(),
+            "query": None if self.query is None else self.query.to_dict(),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "DeploymentSpec":
+        from repro.query.spec import QuerySpec
+        from repro.serve.loadgen import LoadSpec
+        from repro.serve.server import ServePolicy
+
+        fmt = data.get("format", cls.FORMAT)
+        if fmt != cls.FORMAT:
+            raise ValueError(
+                f"unsupported {cls.KIND}-spec format {fmt!r}, expected {cls.FORMAT!r}"
+            )
+        if "system" not in data:
+            raise ValueError(f"{cls.KIND} spec is missing the required 'system' section")
+        return cls(
+            system=config_from_dict(data["system"]),
+            dataset=DatasetSpec.from_dict(data.get("dataset", {})),
+            load=LoadSpec.from_dict(data.get("load", {})),
+            policy=ServePolicy.from_dict(data.get("policy", {})),
+            query=(
+                None
+                if data.get("query") is None
+                else QuerySpec.from_dict(data["query"])
+            ),
+            **cls._fields_from_dict(data),
+        )
+
+
+@dataclass(frozen=True)
+class ServeSpec(DeploymentSpec):
+    """One fully-described serving deployment: the :class:`DeploymentSpec`
+    sections plus the accelerator timing model
+    (:class:`~repro.serve.server.ServiceModel`).
+
+    The online-serving sibling of :class:`ExperimentSpec`: a spec's
+    throughput/latency report is a pure function of the spec and
+    :meth:`repro.api.session.Session.serve` caches it by fingerprint,
+    which covers the whole spec — the ``device`` included.
 
     The accelerator is named once: pass ``device`` (a registered
     :data:`repro.cost.DEVICE_PROFILES` name) and the
@@ -304,47 +408,20 @@ class ServeSpec:
     historical serving defaults) applies; a ``device`` on the
     :class:`SystemConfig` itself, if any, takes precedence over that
     fallback so offline timing and serving simulate the same hardware.
-
-    ``query`` optionally attaches a scenario query
-    (:class:`~repro.query.spec.QuerySpec`) evaluated online per stream
-    during the run; its windows land in the report's ``query_windows``
-    section.  Like every other section it is part of the fingerprint —
-    the same deployment under a different query is a different report.
     """
 
-    system: SystemConfig
-    dataset: DatasetSpec = field(default_factory=DatasetSpec)
-    load: "Any" = None
-    policy: "Any" = None
+    FORMAT: ClassVar[str] = SERVE_SPEC_FORMAT
+    KIND: ClassVar[str] = "serve"
+
     service: "Any" = None
     device: Optional[str] = None
-    query: "Any" = None
 
     def __post_init__(self) -> None:
-        from repro.query.spec import QuerySpec
-        from repro.serve.loadgen import LoadSpec
-        from repro.serve.server import ServePolicy, ServiceModel
+        from repro.serve.server import ServiceModel
 
-        if not isinstance(self.system, SystemConfig):
-            raise TypeError(
-                f"system must be a SystemConfig, got {type(self.system).__name__}"
-            )
-        if self.load is None:
-            object.__setattr__(self, "load", LoadSpec())
-        elif not isinstance(self.load, LoadSpec):
-            raise TypeError(f"load must be a LoadSpec, got {type(self.load).__name__}")
-        if self.policy is None:
-            object.__setattr__(self, "policy", ServePolicy())
-        elif not isinstance(self.policy, ServePolicy):
-            raise TypeError(
-                f"policy must be a ServePolicy, got {type(self.policy).__name__}"
-            )
+        super().__post_init__()
         if self.device is not None and not isinstance(self.device, str):
             raise TypeError(f"device must be a string, got {type(self.device).__name__}")
-        if self.query is not None and not isinstance(self.query, QuerySpec):
-            raise TypeError(
-                f"query must be a QuerySpec, got {type(self.query).__name__}"
-            )
         if self.service is None:
             device = self.device or self.system.device or "abstract"
             object.__setattr__(self, "service", ServiceModel.for_device(device))
@@ -365,61 +442,38 @@ class ServeSpec:
             # uncalibrated rates) so to_dict/from_dict round-trips exactly.
             object.__setattr__(self, "device", self.service.device)
 
-    @property
-    def label(self) -> str:
-        return (
-            f"{self.system.label} @ {self.dataset.family} "
-            f"x{self.load.num_streams} {self.load.pattern}"
-        )
+    # Class-own: perfbench's tracer wraps only attributes in cls.__dict__.
+    fingerprint = JsonRoundTrip.fingerprint
 
-    def to_dict(self) -> Dict[str, Any]:
+    @property
+    def knobs(self) -> str:
+        return f"batch={self.policy.max_batch_size} wait={self.policy.max_wait_ms:g}ms"
+
+    def _fields_dict(self) -> Dict[str, Any]:
+        return {"service": self.service.to_dict(), "device": self.device}
+
+    @classmethod
+    def _fields_from_dict(cls, data: Dict[str, Any]) -> Dict[str, Any]:
+        from repro.serve.server import ServiceModel
+
         return {
-            "format": SERVE_SPEC_FORMAT,
-            "system": config_to_dict(self.system),
-            "dataset": self.dataset.to_dict(),
-            "load": self.load.to_dict(),
-            "policy": self.policy.to_dict(),
-            "service": self.service.to_dict(),
-            "device": self.device,
-            "query": None if self.query is None else self.query.to_dict(),
+            "service": ServiceModel.from_dict(data.get("service", {})),
+            "device": data.get("device"),
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ServeSpec":
-        from repro.query.spec import QuerySpec
-        from repro.serve.loadgen import LoadSpec
-        from repro.serve.server import ServePolicy, ServiceModel
+    def _store_cls(cls) -> type:
+        from repro.serve.server import ServeReportStore
 
-        fmt = data.get("format", SERVE_SPEC_FORMAT)
-        if fmt != SERVE_SPEC_FORMAT:
-            raise ValueError(
-                f"unsupported serve-spec format {fmt!r}, expected {SERVE_SPEC_FORMAT!r}"
-            )
-        if "system" not in data:
-            raise ValueError("serve spec is missing the required 'system' section")
-        return cls(
-            system=config_from_dict(data["system"]),
-            dataset=DatasetSpec.from_dict(data.get("dataset", {})),
-            load=LoadSpec.from_dict(data.get("load", {})),
-            policy=ServePolicy.from_dict(data.get("policy", {})),
-            service=ServiceModel.from_dict(data.get("service", {})),
-            device=data.get("device"),
-            query=(
-                None
-                if data.get("query") is None
-                else QuerySpec.from_dict(data["query"])
-            ),
+        return ServeReportStore
+
+    def _server(self, **options: Any):
+        from repro.serve.server import DetectionServer
+
+        return DetectionServer(
+            self.system,
+            policy=self.policy,
+            service=self.service,
+            query=self.query,
+            **options,
         )
-
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServeSpec":
-        return cls.from_dict(json.loads(text))
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable content address of the report this spec determines."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

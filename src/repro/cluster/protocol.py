@@ -34,13 +34,13 @@ to complete.
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.api.cache import EntryStore
+from repro.api.spec import content_digest
 from repro.core.config import SystemConfig, config_from_dict, config_to_dict
 from repro.core.results import SequenceResult
 from repro.datasets.types import ObjectTrack, Sequence
@@ -190,11 +190,10 @@ def sequence_task(
             )
         key["frame_range"] = [start, stop]
         envelope_payload["frame_range"] = [start, stop]
-    canonical = json.dumps(key, sort_keys=True, separators=(",", ":"))
     return {
         "format": TASK_FORMAT,
         "kind": KIND_SEQUENCE,
-        "fingerprint": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+        "fingerprint": content_digest(key),
         "payload": envelope_payload,
     }
 
@@ -263,6 +262,8 @@ class SequenceResultStore(EntryStore):
     root>/seq/`` so one shared directory serves both granularities.
     """
 
+    ENTRY_FORMAT = "repro-seqresult-cache/1"
+
     def load(self, fingerprint: str) -> Optional[SequenceResult]:
         from repro.harness.io import sequence_result_from_dict
 
@@ -271,11 +272,4 @@ class SequenceResultStore(EntryStore):
     def store(self, fingerprint: str, result: SequenceResult) -> Path:
         from repro.harness.io import sequence_result_to_dict
 
-        return self._write(
-            fingerprint,
-            {
-                "format": "repro-seqresult-cache/1",
-                "fingerprint": fingerprint,
-                "result": sequence_result_to_dict(result),
-            },
-        )
+        return self._write_entry(fingerprint, result=sequence_result_to_dict(result))

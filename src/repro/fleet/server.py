@@ -22,56 +22,56 @@ A :class:`FleetReport` is therefore a pure function of its
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence as SequenceType, Union
+from typing import Any, ClassVar, Dict, List, Optional, Union
 
-from repro.api.cache import EntryStore
-from repro.core.results import FrameResult
 from repro.core.systems import DetectionSystem
 from repro.fleet.autoscaler import Autoscaler
-from repro.fleet.loop import ServingLoop
 from repro.fleet.replica import ReplicaSet
 from repro.fleet.router import FleetRouter
 from repro.fleet.spec import FleetSpec
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sinks import Sink
 from repro.serve.loadgen import FrameRequest
-from repro.serve.server import ServedTotals, ServePolicy, ServiceModel
+from repro.serve.server import ReportStore, ServedTotals, ServiceModel, _ServingFront
 from repro.serve.slo import DEFAULT_MAX_EXACT_SAMPLES
 
 FLEET_REPORT_FORMAT = "repro-fleet-report/1"
 
 
-@dataclass
+@dataclass(kw_only=True)
 class FleetReport(ServedTotals):
     """What one fleet deployment cost: latency, scaling history, money.
 
-    ``frame_results`` and ``wall_seconds`` follow the serve-report
-    convention — live-run-only evidence, excluded from :meth:`to_dict`.
+    The :class:`~repro.serve.server.ServedTotals` fields plus the fleet's
+    shape, billing and scaling history.  ``frame_results`` and
+    ``wall_seconds`` follow the serve-report convention — live-run-only
+    evidence, excluded from :meth:`to_dict`.
     """
 
-    policy: ServePolicy
+    FORMAT: ClassVar[str] = FLEET_REPORT_FORMAT
+
     devices: List[str]
     placement: str
     autoscaler: Optional[Dict[str, Any]]
-    frames_offered: int
-    frames_served: int
-    frames_shed: int
-    batches: int
-    invocations: int
-    makespan_seconds: float
-    compute_seconds: float
     replica_seconds: float
     cost: float
-    slo: Dict[str, Any]
     replicas: List[Dict[str, Any]] = field(default_factory=list)
     scale_events: List[Dict[str, Any]] = field(default_factory=list)
     dead_streams: List[str] = field(default_factory=list)
-    query_windows: Optional[Dict[str, Any]] = None
-    frame_results: Optional[Dict[str, SequenceType[FrameResult]]] = None
-    wall_seconds: float = 0.0
+
+    @classmethod
+    def _fields_from_dict(cls, data: Dict[str, Any]) -> Dict[str, Any]:
+        return {
+            "devices": list(data["devices"]),
+            "placement": data["placement"],
+            "autoscaler": data.get("autoscaler"),
+            "replica_seconds": data["replica_seconds"],
+            "cost": data["cost"],
+            "replicas": list(data.get("replicas", [])),
+            "scale_events": list(data.get("scale_events", [])),
+            "dead_streams": list(data.get("dead_streams", [])),
+        }
 
     @property
     def cost_per_frame(self) -> float:
@@ -126,34 +126,6 @@ class FleetReport(ServedTotals):
             "dead_streams": list(self.dead_streams),
             "query_windows": self.query_windows,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FleetReport":
-        if data.get("format") != FLEET_REPORT_FORMAT:
-            raise ValueError(
-                f"unsupported fleet-report format {data.get('format')!r}, "
-                f"expected {FLEET_REPORT_FORMAT!r}"
-            )
-        return cls(
-            policy=ServePolicy.from_dict(data["policy"]),
-            devices=list(data["devices"]),
-            placement=data["placement"],
-            autoscaler=data.get("autoscaler"),
-            frames_offered=data["frames_offered"],
-            frames_served=data["frames_served"],
-            frames_shed=data["frames_shed"],
-            batches=data["batches"],
-            invocations=data["invocations"],
-            makespan_seconds=data["makespan_seconds"],
-            compute_seconds=data["compute_seconds"],
-            replica_seconds=data["replica_seconds"],
-            cost=data["cost"],
-            slo=data["slo"],
-            replicas=list(data.get("replicas", [])),
-            scale_events=list(data.get("scale_events", [])),
-            dead_streams=list(data.get("dead_streams", [])),
-            query_windows=data.get("query_windows"),
-        )
 
     def format(self) -> str:
         """Human-readable fleet report: replicas, latency, scale history."""
@@ -218,7 +190,7 @@ class FleetReport(ServedTotals):
         return "\n".join([table] + lines)
 
 
-class FleetServer:
+class FleetServer(_ServingFront):
     """Replicated serving of one spec over the deterministic clock.
 
     A front over the one serving event loop (:mod:`repro.fleet.loop`):
@@ -242,6 +214,9 @@ class FleetServer:
         a fleet's worth of them belongs in metrics, not an event log).
     """
 
+    REPORT = FleetReport
+    SUMMARY = "fleet.summary"
+
     def __init__(
         self,
         spec: FleetSpec,
@@ -254,9 +229,7 @@ class FleetServer:
         record_trace: bool = False,
     ) -> None:
         self.spec = spec
-        self.policy = spec.policy
-        self.query = spec.query
-        self._loop = ServingLoop(
+        super().__init__(
             system if system is not None else spec.system,
             policy=spec.policy,
             query=spec.query,
@@ -266,10 +239,6 @@ class FleetServer:
             trace=trace,
             record_trace=record_trace,
         )
-        self.system = self._loop.system
-        self.metrics = self._loop.metrics
-        self.frames_replayed = 0
-        self.recorded_trace = None
 
     def run(self, requests: List[FrameRequest]) -> FleetReport:
         """Serve an arrival schedule to completion; returns the report.
@@ -278,7 +247,6 @@ class FleetServer:
         and the replica pool are rebuilt, so back-to-back runs of one
         schedule are identical (detector caches persist — pure values).
         """
-        wall_start = time.perf_counter()
         spec = self.spec
         pool = ReplicaSet(
             spec.policy, lambda i: ServiceModel.for_device(spec.device_for(i))
@@ -290,13 +258,11 @@ class FleetServer:
             if spec.autoscaler is not None
             else None
         )
-        loop = self._loop
-        result = loop.run(requests, pool, FleetRouter(spec.placement), autoscaler)
-        self.frames_replayed = loop.frames_replayed
-        self.recorded_trace = loop.recorded_trace
+        return self._serve(requests, pool, FleetRouter(spec.placement), autoscaler)
+
+    def _own_fields(self, requests, pool, result, fleet, slo) -> tuple:
+        spec = self.spec
         makespan = result.makespan_seconds
-        fleet = result.account.fleet()
-        slo = result.account.to_dict()
         served_by = {
             name: stats.get("served", 0)
             for name, stats in slo.get("streams", {}).items()
@@ -304,72 +270,37 @@ class FleetServer:
         dead_streams = [
             s for s in sorted({r.stream for r in requests}) if not served_by.get(s)
         ]
-        loop.emit_summary(
-            {
-                "record": "fleet.summary",
-                "frames_offered": len(requests),
-                "frames_served": fleet.served,
-                "frames_shed": fleet.shed,
-                "batches": result.batches,
-                "invocations": result.invocations,
-                "makespan_seconds": makespan,
-                "replica_seconds": pool.replica_seconds(makespan),
-                "cost": pool.cost(makespan),
-                "peak_replicas": len(pool.replicas),
-                "scale_events": len(result.scale_events),
-                "dead_streams": len(dead_streams),
-                "p99_ms": fleet.percentile(99.0) * 1e3,
-            },
-            result,
-        )
-        return FleetReport(
-            policy=self.policy,
-            devices=list(spec.devices),
-            placement=spec.placement,
-            autoscaler=(
+        summary = {
+            "replica_seconds": pool.replica_seconds(makespan),
+            "cost": pool.cost(makespan),
+            "peak_replicas": len(pool.replicas),
+            "scale_events": len(result.scale_events),
+            "dead_streams": len(dead_streams),
+        }
+        return summary, {
+            "devices": list(spec.devices),
+            "placement": spec.placement,
+            "autoscaler": (
                 None if spec.autoscaler is None else spec.autoscaler.to_dict()
             ),
-            frames_offered=len(requests),
-            frames_served=fleet.served,
-            frames_shed=fleet.shed,
-            batches=result.batches,
-            invocations=result.invocations,
-            makespan_seconds=makespan,
-            compute_seconds=result.compute_seconds,
-            replica_seconds=pool.replica_seconds(makespan),
-            cost=pool.cost(makespan),
-            slo=slo,
-            replicas=[r.to_dict(makespan) for r in pool.replicas],
-            scale_events=result.scale_events,
-            dead_streams=dead_streams,
-            query_windows=result.query_windows,
-            frame_results=result.frame_results,
-            wall_seconds=time.perf_counter() - wall_start,
-        )
+            "replica_seconds": summary["replica_seconds"],
+            "cost": summary["cost"],
+            "replicas": [r.to_dict(makespan) for r in pool.replicas],
+            "scale_events": result.scale_events,
+            "dead_streams": dead_streams,
+        }
 
 
-class FleetReportStore(EntryStore):
+class FleetReportStore(ReportStore):
     """Content-addressed store of serialized :class:`FleetReport`\\ s,
     sharing the session cache root and layout
     (:class:`~repro.api.cache.EntryStore`) with every other store.
     """
 
-    def load(self, fingerprint: str) -> Optional[FleetReport]:
-        return self._read(fingerprint, "report", FleetReport.from_dict)
+    SPEC = FleetSpec
+    REPORT = FleetReport
+    ENTRY_FORMAT = "repro-fleet-cache/1"
 
-    def store(
-        self,
-        fingerprint: str,
-        report: FleetReport,
-        *,
-        spec: Optional[Dict[str, Any]] = None,
-    ) -> Path:
-        return self._write(
-            fingerprint,
-            {
-                "format": "repro-fleet-cache/1",
-                "fingerprint": fingerprint,
-                "spec": spec,
-                "report": report.to_dict(),
-            },
-        )
+    # Class-own: perfbench's tracer wraps only attributes in cls.__dict__.
+    load = ReportStore.load
+    store = ReportStore.store

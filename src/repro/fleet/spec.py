@@ -17,19 +17,16 @@ replica count x device mix x batch policy) nearly free on revisits.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
-from repro.api.spec import DatasetSpec, _known_fields
-from repro.core.config import SystemConfig, config_from_dict, config_to_dict
+from repro.api.spec import DeploymentSpec, FlatSection, JsonRoundTrip
 
 FLEET_SPEC_FORMAT = "repro-fleet-spec/1"
 
 
 @dataclass(frozen=True)
-class AutoscalerPolicy:
+class AutoscalerPolicy(FlatSection):
     """The control loop's knobs: when to scale, how fast, within what bounds.
 
     The controller reads the PR-7 observability signals each replica's
@@ -101,34 +98,20 @@ class AutoscalerPolicy:
                 f"got {self.scale_in_occupancy}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "min_replicas": self.min_replicas,
-            "max_replicas": self.max_replicas,
-            "interval_s": self.interval_s,
-            "cooldown_s": self.cooldown_s,
-            "slo_p99_ms": self.slo_p99_ms,
-            "scale_out_wait_share": self.scale_out_wait_share,
-            "scale_in_occupancy": self.scale_in_occupancy,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AutoscalerPolicy":
-        return cls(**_known_fields(cls, data))
-
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(DeploymentSpec):
     """One fully-described fleet deployment.
 
     Parameters
     ----------
     system / dataset / load / policy / query:
-        Exactly as on :class:`~repro.api.spec.ServeSpec` — the system
-        every replica serves (detectors shared fleet-wide, trackers per
-        stream), the dataset family behind the streams, the offered
-        load, the per-replica admission/batching policy, and an optional
-        scenario query evaluated per stream.
+        The :class:`~repro.api.spec.DeploymentSpec` sections, exactly as
+        on :class:`~repro.api.spec.ServeSpec` — the system every replica
+        serves (detectors shared fleet-wide, trackers per stream), the
+        dataset family behind the streams, the offered load, the
+        per-replica admission/batching policy, and an optional scenario
+        query evaluated per stream.
     replicas:
         Initial replica count (the static count when no autoscaler).
     devices:
@@ -143,37 +126,19 @@ class FleetSpec:
         ``replicas`` must then lie inside its bounds.
     """
 
-    system: SystemConfig
-    dataset: DatasetSpec = field(default_factory=DatasetSpec)
-    load: "Any" = None
-    policy: "Any" = None
+    FORMAT: ClassVar[str] = FLEET_SPEC_FORMAT
+    KIND: ClassVar[str] = "fleet"
+
     replicas: int = 2
     devices: Tuple[str, ...] = ("abstract",)
     placement: str = "least_loaded"
     autoscaler: Optional[AutoscalerPolicy] = None
-    query: "Any" = None
 
     def __post_init__(self) -> None:
         from repro.cost import get_device
         from repro.fleet.router import PLACEMENT_POLICIES
-        from repro.query.spec import QuerySpec
-        from repro.serve.loadgen import LoadSpec
-        from repro.serve.server import ServePolicy
 
-        if not isinstance(self.system, SystemConfig):
-            raise TypeError(
-                f"system must be a SystemConfig, got {type(self.system).__name__}"
-            )
-        if self.load is None:
-            object.__setattr__(self, "load", LoadSpec())
-        elif not isinstance(self.load, LoadSpec):
-            raise TypeError(f"load must be a LoadSpec, got {type(self.load).__name__}")
-        if self.policy is None:
-            object.__setattr__(self, "policy", ServePolicy())
-        elif not isinstance(self.policy, ServePolicy):
-            raise TypeError(
-                f"policy must be a ServePolicy, got {type(self.policy).__name__}"
-            )
+        super().__post_init__()
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         devices = tuple(self.devices)
@@ -199,85 +164,60 @@ class FleetSpec:
                     f"[{self.autoscaler.min_replicas}, "
                     f"{self.autoscaler.max_replicas}]"
                 )
-        if self.query is not None and not isinstance(self.query, QuerySpec):
-            raise TypeError(
-                f"query must be a QuerySpec, got {type(self.query).__name__}"
-            )
+
+    # Class-own: perfbench's tracer wraps only attributes in cls.__dict__.
+    fingerprint = JsonRoundTrip.fingerprint
 
     @property
-    def label(self) -> str:
+    def _shape(self) -> str:
         scale = (
             f"{self.autoscaler.min_replicas}-{self.autoscaler.max_replicas} auto"
             if self.autoscaler is not None
             else f"{self.replicas} static"
         )
+        return f" fleet[{scale} on {'/'.join(self.devices)}]"
+
+    @property
+    def knobs(self) -> str:
         return (
-            f"{self.system.label} fleet[{scale} on {'/'.join(self.devices)}] "
-            f"@ {self.dataset.family} x{self.load.num_streams} {self.load.pattern}"
+            f"replicas={self.replicas} devices={'+'.join(self.devices)} "
+            f"batch={self.policy.max_batch_size}"
         )
 
     def device_for(self, index: int) -> str:
         """Device profile name of the ``index``-th spawned replica."""
         return self.devices[index % len(self.devices)]
 
-    def to_dict(self) -> Dict[str, Any]:
+    def _fields_dict(self) -> Dict[str, Any]:
         return {
-            "format": FLEET_SPEC_FORMAT,
-            "system": config_to_dict(self.system),
-            "dataset": self.dataset.to_dict(),
-            "load": self.load.to_dict(),
-            "policy": self.policy.to_dict(),
             "replicas": self.replicas,
             "devices": list(self.devices),
             "placement": self.placement,
             "autoscaler": (
                 None if self.autoscaler is None else self.autoscaler.to_dict()
             ),
-            "query": None if self.query is None else self.query.to_dict(),
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FleetSpec":
-        from repro.query.spec import QuerySpec
-        from repro.serve.loadgen import LoadSpec
-        from repro.serve.server import ServePolicy
-
-        fmt = data.get("format", FLEET_SPEC_FORMAT)
-        if fmt != FLEET_SPEC_FORMAT:
-            raise ValueError(
-                f"unsupported fleet-spec format {fmt!r}, expected {FLEET_SPEC_FORMAT!r}"
-            )
-        if "system" not in data:
-            raise ValueError("fleet spec is missing the required 'system' section")
-        return cls(
-            system=config_from_dict(data["system"]),
-            dataset=DatasetSpec.from_dict(data.get("dataset", {})),
-            load=LoadSpec.from_dict(data.get("load", {})),
-            policy=ServePolicy.from_dict(data.get("policy", {})),
-            replicas=data.get("replicas", 2),
-            devices=tuple(data.get("devices", ("abstract",))),
-            placement=data.get("placement", "least_loaded"),
-            autoscaler=(
+    def _fields_from_dict(cls, data: Dict[str, Any]) -> Dict[str, Any]:
+        return {
+            "replicas": data.get("replicas", 2),
+            "devices": tuple(data.get("devices", ("abstract",))),
+            "placement": data.get("placement", "least_loaded"),
+            "autoscaler": (
                 None
                 if data.get("autoscaler") is None
                 else AutoscalerPolicy.from_dict(data["autoscaler"])
             ),
-            query=(
-                None
-                if data.get("query") is None
-                else QuerySpec.from_dict(data["query"])
-            ),
-        )
-
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "FleetSpec":
-        return cls.from_dict(json.loads(text))
+    def _store_cls(cls) -> type:
+        from repro.fleet.server import FleetReportStore
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable content address of the report this spec determines."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return FleetReportStore
+
+    def _server(self, **options: Any):
+        from repro.fleet.server import FleetServer
+
+        return FleetServer(self, **options)

@@ -49,16 +49,13 @@ def tune_fleet(
     batches = [spec.policy.max_batch_size] if batch_sizes is None else batch_sizes
     if not mixes or not batches:
         raise ValueError("device_mixes and batch_sizes must be non-empty")
-    grid = [
-        (
-            replace(
-                spec,
-                replicas=count,
-                devices=mix,
-                autoscaler=None,
-                policy=replace(spec.policy, max_batch_size=batch),
-            ),
-            f"replicas={count} devices={'+'.join(mix)} batch={batch}",
+    points = [
+        replace(
+            spec,
+            replicas=count,
+            devices=mix,
+            autoscaler=None,
+            policy=replace(spec.policy, max_batch_size=batch),
         )
         for count in map(int, counts)
         for mix in mixes
@@ -67,7 +64,7 @@ def tune_fleet(
     return _tune(
         session,
         "fleet",
-        grid,
+        points,
         slo_p99_ms=slo_p99_ms,
         use_cache=use_cache,
         on_progress=on_progress,

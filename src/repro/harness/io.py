@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Union
 
 import numpy as np
 
-from repro.core.config import SystemConfig, config_from_dict, config_to_dict
+from repro.core.config import config_from_dict, config_to_dict
 from repro.core.results import (
     FrameResult,
     FrameTiming,
@@ -50,12 +50,6 @@ __all__ = [
     "save_experiment",
     "load_experiment_summary",
 ]
-
-
-def _config_dict(config: SystemConfig) -> Dict:
-    # Lossless since the API redesign: previously dropped ``detailed_ops``
-    # and the tracker lifecycle fields, which broke cache round trips.
-    return config_to_dict(config)
 
 
 def _ops_dict(ops: OpsAccount) -> Dict[str, float]:
@@ -289,7 +283,7 @@ def save_experiment(
     """
     payload: Dict = {
         "format": "repro-experiment/1",
-        "config": _config_dict(result.config),
+        "config": config_to_dict(result.config),
         "label": result.label,
         "run": run_to_dict(result.run, include_detections=include_detections),
         "metrics": {},

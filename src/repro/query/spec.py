@@ -32,11 +32,10 @@ dataclasses with exact JSON round trips and a sha256 content
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Union
 
+from repro.api.spec import JsonRoundTrip
 from repro.query.props import Prop, prop_from_dict
 
 QUERY_SPEC_FORMAT = "repro-query-spec/1"
@@ -163,7 +162,7 @@ def expr_from_dict(data: Dict[str, Any]) -> TemporalExpr:
 
 
 @dataclass(frozen=True)
-class QuerySpec:
+class QuerySpec(JsonRoundTrip):
     """One named scenario query: a temporal expression plus metadata.
 
     ``name`` labels reports and sink records; it is part of the content
@@ -197,16 +196,3 @@ class QuerySpec:
         if "name" not in data or "expr" not in data:
             raise ValueError("query spec requires 'name' and 'expr'")
         return cls(name=data["name"], expr=expr_from_dict(data["expr"]))
-
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuerySpec":
-        return cls.from_dict(json.loads(text))
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable content address of the query (canonical-JSON sha256)."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

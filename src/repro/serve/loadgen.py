@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.api.registry import Registry
+from repro.api.spec import FlatSection
 from repro.datasets.types import Dataset, Sequence
 from repro.utils.rng import RngFactory
 
@@ -45,7 +46,7 @@ def register_load_pattern(name: str, *, override: bool = False):
 
 
 @dataclass(frozen=True)
-class LoadSpec:
+class LoadSpec(FlatSection):
     """One open-loop load: how many streams, arriving how, for how long.
 
     Parameters
@@ -126,12 +127,6 @@ class LoadSpec:
         if self.rates is not None:
             out["rates"] = list(self.rates)
         return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "LoadSpec":
-        from repro.api.spec import _known_fields
-
-        return cls(**_known_fields(cls, data))
 
 
 @dataclass(frozen=True)

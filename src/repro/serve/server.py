@@ -30,10 +30,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence as SequenceType, Union
+from typing import Any, ClassVar, Dict, List, Optional, Sequence as SequenceType, Union
 
 from repro.api.cache import EntryStore
-from repro.api.spec import _known_fields
+from repro.api.spec import FlatSection, ServeSpec
 from repro.core.config import SystemConfig
 from repro.core.results import FrameResult
 from repro.core.systems import DetectionSystem
@@ -55,7 +55,7 @@ SHED_POLICIES = (SHED_OLDEST, SHED_NEWEST)
 
 
 @dataclass(frozen=True)
-class ServePolicy:
+class ServePolicy(FlatSection):
     """Admission + batching + SLO knobs of one server deployment.
 
     Parameters
@@ -93,22 +93,9 @@ class ServePolicy:
         if self.slo_ms <= 0:
             raise ValueError(f"slo_ms must be positive, got {self.slo_ms}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "max_batch_size": self.max_batch_size,
-            "max_wait_ms": self.max_wait_ms,
-            "queue_capacity": self.queue_capacity,
-            "shed_policy": self.shed_policy,
-            "slo_ms": self.slo_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ServePolicy":
-        return cls(**_known_fields(cls, data))
-
 
 @dataclass(frozen=True)
-class ServiceModel:
+class ServiceModel(FlatSection):
     """Accelerator timing model: fixed per-invocation cost + MAC rate.
 
     The paper's systems run DNNs on an accelerator whose every
@@ -220,26 +207,66 @@ class ServiceModel:
         """
         return self._cost_model.batch_seconds(invocations, macs, frames)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "invocation_overhead_ms": self.invocation_overhead_ms,
-            "gops_per_second": self.gops_per_second,
-            "device": self.device,
-        }
+
+@dataclass(kw_only=True)
+class ServedTotals:
+    """The fields and statistics every served report shares.
+
+    The base of :class:`ServeReport` and
+    :class:`~repro.fleet.server.FleetReport`: the policy served under,
+    the frame, batch and invocation counts, the simulated makespan and
+    compute time, the SLO section and the scenario-query windows, read
+    back by one :meth:`from_dict`.  A subclass names its ``FORMAT`` and
+    reads its own fields back in ``_fields_from_dict(data)``.
+
+    ``frame_results`` (per-stream :class:`FrameResult` lists, dispatch
+    order) is populated only by a live run — it is the byte-identity
+    evidence and is deliberately excluded from ``to_dict``, so cached
+    reports carry statistics only.  ``wall_seconds`` measures this
+    host's Python and is likewise excluded (it is not part of the
+    deterministic result).
+
+    ``query_windows`` is the serialized
+    :class:`~repro.query.offline.QueryReport` of the deployment's
+    scenario query (``None`` when it ran without one).  Being a
+    deterministic function of the spec it *is* cached.
+    """
+
+    FORMAT: ClassVar[str] = ""
+
+    policy: ServePolicy
+    frames_offered: int
+    frames_served: int
+    frames_shed: int
+    batches: int
+    invocations: int
+    makespan_seconds: float
+    compute_seconds: float
+    slo: Dict[str, Any]
+    query_windows: Optional[Dict[str, Any]] = None
+    frame_results: Optional[Dict[str, SequenceType[FrameResult]]] = None
+    wall_seconds: float = 0.0
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ServiceModel":
-        return cls(**_known_fields(cls, data))
-
-
-class ServedTotals:
-    """Statistics derived the same way for every served report.
-
-    Mixed into :class:`ServeReport` and
-    :class:`~repro.fleet.server.FleetReport`, which both carry
-    ``frames_served``, ``batches``, ``makespan_seconds`` and
-    ``query_windows``.
-    """
+    def from_dict(cls, data: Dict[str, Any]) -> "ServedTotals":
+        if data.get("format") != cls.FORMAT:
+            raise ValueError(
+                f"unsupported report format {data.get('format')!r}, "
+                f"expected {cls.FORMAT!r}"
+            )
+        return cls(
+            policy=ServePolicy.from_dict(data["policy"]),
+            frames_offered=data["frames_offered"],
+            frames_served=data["frames_served"],
+            frames_shed=data["frames_shed"],
+            batches=data["batches"],
+            invocations=data["invocations"],
+            makespan_seconds=data["makespan_seconds"],
+            compute_seconds=data["compute_seconds"],
+            slo=data["slo"],
+            query_windows=data.get("query_windows"),
+            **cls._fields_from_dict(data),
+        )
 
     def query_report(self):
         """The scenario-query :class:`~repro.query.offline.QueryReport`
@@ -264,36 +291,22 @@ class ServedTotals:
         )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ServeReport(ServedTotals):
     """What one served load cost: throughput, latency, SLO accounting.
 
-    ``frame_results`` (per-stream :class:`FrameResult` lists, dispatch
-    order) is populated only by a live :meth:`DetectionServer.run` — it
-    is the byte-identity evidence and is deliberately excluded from
-    :meth:`to_dict`, so cached reports carry statistics only.
-    ``wall_seconds`` measures this host's Python and is likewise
-    excluded (it is not part of the deterministic result).
-
-    ``query_windows`` is the serialized
-    :class:`~repro.query.offline.QueryReport` of the deployment's
-    scenario query (``None`` when the server ran without one).  Being a
-    deterministic function of the spec it *is* cached.
+    The :class:`ServedTotals` fields plus the ``service`` model the
+    engine was charged by; ``frame_results`` is filled by a live
+    :meth:`DetectionServer.run`.
     """
 
-    policy: ServePolicy
+    FORMAT: ClassVar[str] = REPORT_FORMAT
+
     service: ServiceModel
-    frames_offered: int
-    frames_served: int
-    frames_shed: int
-    batches: int
-    invocations: int
-    makespan_seconds: float
-    compute_seconds: float
-    slo: Dict[str, Any]
-    query_windows: Optional[Dict[str, Any]] = None
-    frame_results: Optional[Dict[str, SequenceType[FrameResult]]] = None
-    wall_seconds: float = 0.0
+
+    @classmethod
+    def _fields_from_dict(cls, data: Dict[str, Any]) -> Dict[str, Any]:
+        return {"service": ServiceModel.from_dict(data["service"])}
 
     @property
     def utilization(self) -> float:
@@ -338,27 +351,6 @@ class ServeReport(ServedTotals):
             "slo": self.slo,
             "query_windows": self.query_windows,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ServeReport":
-        if data.get("format") != REPORT_FORMAT:
-            raise ValueError(
-                f"unsupported report format {data.get('format')!r}, "
-                f"expected {REPORT_FORMAT!r}"
-            )
-        return cls(
-            policy=ServePolicy.from_dict(data["policy"]),
-            service=ServiceModel.from_dict(data["service"]),
-            frames_offered=data["frames_offered"],
-            frames_served=data["frames_served"],
-            frames_shed=data["frames_shed"],
-            batches=data["batches"],
-            invocations=data["invocations"],
-            makespan_seconds=data["makespan_seconds"],
-            compute_seconds=data["compute_seconds"],
-            slo=data["slo"],
-            query_windows=data.get("query_windows"),
-        )
 
     def format(self) -> str:
         """Human-readable throughput/latency report."""
@@ -415,7 +407,75 @@ class ServeReport(ServedTotals):
         return f"{table}\n{summary}"
 
 
-class DetectionServer:
+class _ServingFront:
+    """What a serve and a fleet front share: one serving event loop
+    (:class:`~repro.fleet.loop.ServingLoop`) and the run driver around it.
+
+    A subclass builds its replica pool and router per run and hands them
+    to :meth:`_serve`; its ``_own_fields(requests, pool, result, fleet,
+    slo)`` returns the ``(summary fields, report fields)`` it adds, given
+    the run's arguments, the loop's result, its fleet-wide latency
+    statistics and its SLO section.  ``REPORT`` is its report class and
+    ``SUMMARY`` the record type of its end-of-run sink record.
+    """
+
+    REPORT: ClassVar[type]
+    SUMMARY: ClassVar[str]
+
+    def __init__(self, system, *, policy: ServePolicy, query, **loop_options) -> None:
+        from repro.fleet.loop import ServingLoop
+
+        self.policy = policy
+        self.query = query
+        self._loop = ServingLoop(system, policy=policy, query=query, **loop_options)
+        self.system = self._loop.system
+        self.metrics = self._loop.metrics
+        self.frames_replayed = 0
+        self.recorded_trace = None
+
+    def _serve(self, requests: List[FrameRequest], pool, router, autoscaler=None):
+        """Run the loop over ``pool``, keep its replay and trace counters,
+        emit the summary record and build the report."""
+        wall_start = time.perf_counter()
+        loop = self._loop
+        result = loop.run(requests, pool, router, autoscaler)
+        self.frames_replayed = loop.frames_replayed
+        self.recorded_trace = loop.recorded_trace
+        fleet = result.account.fleet()
+        slo = result.account.to_dict()
+        summary, fields = self._own_fields(requests, pool, result, fleet, slo)
+        loop.emit_summary(
+            {
+                "record": self.SUMMARY,
+                "frames_offered": len(requests),
+                "frames_served": fleet.served,
+                "frames_shed": fleet.shed,
+                "batches": result.batches,
+                "invocations": result.invocations,
+                "makespan_seconds": result.makespan_seconds,
+                **summary,
+                "p99_ms": fleet.percentile(99.0) * 1e3,
+            },
+            result,
+        )
+        return self.REPORT(
+            policy=self.policy,
+            frames_offered=len(requests),
+            frames_served=fleet.served,
+            frames_shed=fleet.shed,
+            batches=result.batches,
+            invocations=result.invocations,
+            makespan_seconds=result.makespan_seconds,
+            compute_seconds=result.compute_seconds,
+            slo=slo,
+            query_windows=result.query_windows,
+            frame_results=result.frame_results,
+            wall_seconds=time.perf_counter() - wall_start,
+            **fields,
+        )
+
+
+class DetectionServer(_ServingFront):
     """Micro-batched multi-stream serving over one shared engine.
 
     A static one-replica front over the serving event loop
@@ -465,6 +525,9 @@ class DetectionServer:
         and whether to record this run's own (``recorded_trace``).
     """
 
+    REPORT = ServeReport
+    SUMMARY = "serve.summary"
+
     def __init__(
         self,
         system: Union[SystemConfig, DetectionSystem],
@@ -479,8 +542,6 @@ class DetectionServer:
         trace=None,
         record_trace: bool = False,
     ):
-        from repro.fleet.loop import ServingLoop
-
         if service is None:
             service = ServiceModel.for_device(device or "abstract")
         elif device is not None and device != service.device:
@@ -489,9 +550,8 @@ class DetectionServer:
                 f"device={device!r}; pass one or the other "
                 f"(use ServiceModel.for_device({device!r}))"
             )
-        self.policy = policy
         self.service = service
-        self._loop = ServingLoop(
+        super().__init__(
             system,
             policy=policy,
             query=query,
@@ -502,11 +562,6 @@ class DetectionServer:
             record_trace=record_trace,
             fleet_wide=False,
         )
-        self.system = self._loop.system
-        self.query = query
-        self.metrics = self._loop.metrics
-        self.frames_replayed = 0
-        self.recorded_trace = None
 
     def run(self, requests: List[FrameRequest]) -> ServeReport:
         """Serve an arrival schedule to completion; returns the report.
@@ -521,70 +576,57 @@ class DetectionServer:
         from repro.fleet.replica import ReplicaSet
         from repro.fleet.router import FleetRouter
 
-        wall_start = time.perf_counter()
         pool = ReplicaSet(self.policy, lambda _: self.service, metrics=self.metrics)
         pool.spawn(0.0)
-        loop = self._loop
-        result = loop.run(requests, pool, FleetRouter())
-        self.frames_replayed = loop.frames_replayed
-        self.recorded_trace = loop.recorded_trace
-        fleet = result.account.fleet()
-        loop.emit_summary(
-            {
-                "record": "serve.summary",
-                "frames_offered": len(requests),
-                "frames_served": fleet.served,
-                "frames_shed": fleet.shed,
-                "shed_reasons": dict(sorted(fleet.shed_reasons.items())),
-                "batches": result.batches,
-                "invocations": result.invocations,
-                "makespan_seconds": result.makespan_seconds,
-                "p99_ms": fleet.percentile(99.0) * 1e3,
-            },
-            result,
-        )
-        return ServeReport(
-            policy=self.policy,
-            service=self.service,
-            frames_offered=len(requests),
-            frames_served=fleet.served,
-            frames_shed=fleet.shed,
-            batches=result.batches,
-            invocations=result.invocations,
-            makespan_seconds=result.makespan_seconds,
-            compute_seconds=result.compute_seconds,
-            slo=result.account.to_dict(),
-            query_windows=result.query_windows,
-            frame_results=result.frame_results,
-            wall_seconds=time.perf_counter() - wall_start,
-        )
+        return self._serve(requests, pool, FleetRouter())
+
+    def _own_fields(self, requests, pool, result, fleet, slo) -> tuple:
+        shed_reasons = dict(sorted(fleet.shed_reasons.items()))
+        return {"shed_reasons": shed_reasons}, {"service": self.service}
 
 
-class ServeReportStore(EntryStore):
-    """Content-addressed store of serialized :class:`ServeReport`\\ s.
+class ReportStore(EntryStore):
+    """Content-addressed store of one deployment kind's serialized reports.
 
     The serving sibling of :class:`~repro.api.cache.ResultCache`, in the
     *same* root and layout (:class:`~repro.api.cache.EntryStore`), so
     ``repro cache stats/ls/prune`` manage serving reports alongside
-    experiment results.
+    experiment results.  A subclass names the ``SPEC`` and ``REPORT``
+    classes it caches and the ``ENTRY_FORMAT`` tag of its entries.
     """
 
-    def load(self, fingerprint: str) -> Optional[ServeReport]:
-        return self._read(fingerprint, "report", ServeReport.from_dict)
+    SPEC: ClassVar[type]
+    REPORT: ClassVar[type]
+
+    def load(self, fingerprint: str):
+        return self._read(fingerprint, "report", self.REPORT.from_dict)
 
     def store(
         self,
         fingerprint: str,
-        report: ServeReport,
+        report,
         *,
         spec: Optional[Dict[str, Any]] = None,
     ) -> Path:
-        return self._write(
-            fingerprint,
-            {
-                "format": "repro-serve-cache/1",
-                "fingerprint": fingerprint,
-                "spec": spec,
-                "report": report.to_dict(),
-            },
-        )
+        return self._write_entry(fingerprint, spec=spec, report=report.to_dict())
+
+    @classmethod
+    def _label(cls, payload: Dict[str, Any]) -> Optional[str]:
+        """The stored spec's label plus the knobs a tune varies (``None``
+        for an entry stored without its spec)."""
+        if payload["spec"] is None:
+            return None
+        spec = cls.SPEC.from_dict(payload["spec"])
+        return f"{spec.label} {spec.knobs}"
+
+
+class ServeReportStore(ReportStore):
+    """Content-addressed store of serialized :class:`ServeReport`\\ s."""
+
+    SPEC = ServeSpec
+    REPORT = ServeReport
+    ENTRY_FORMAT = "repro-serve-cache/1"
+
+    # Class-own: perfbench's tracer wraps only attributes in cls.__dict__.
+    load = ReportStore.load
+    store = ReportStore.store

@@ -47,12 +47,11 @@ downstream (result buffers copy them, query evaluators read them).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.cache import EntryStore
+from repro.api.spec import content_digest
 from repro.core.config import config_to_dict
 from repro.core.results import FrameResult
 from repro.engine.stages import run_frame_batch
@@ -78,8 +77,7 @@ def trace_fingerprint(spec: Any) -> str:
         "dataset": spec.dataset.to_dict(),
         "load": spec.load.to_dict(),
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_digest(payload)
 
 
 class FrameRecord:
@@ -200,6 +198,8 @@ class TraceStore(EntryStore):
     start with the parent's.
     """
 
+    ENTRY_FORMAT = "repro-trace-cache/1"
+
     def load(self, fingerprint: str) -> Optional[ComputeTrace]:
         global _held
         held = _held  # read once: another thread may replace it meanwhile
@@ -212,14 +212,13 @@ class TraceStore(EntryStore):
         return trace
 
     def store(self, fingerprint: str, trace: ComputeTrace) -> Path:
-        return self._write(
-            fingerprint,
-            {
-                "format": "repro-trace-cache/1",
-                "fingerprint": fingerprint,
-                "trace": trace.to_dict(),
-            },
-        )
+        return self._write_entry(fingerprint, trace=trace.to_dict())
+
+    @classmethod
+    def _label(cls, payload: Dict[str, Any]) -> str:
+        streams = payload["trace"]["streams"].values()
+        frames = sum(len(stream["records"]) for stream in streams)
+        return f"compute trace: {len(streams)} stream(s), {frames} frame(s)"
 
 
 class _Lane:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, NamedTuple, Optional, Sequence as Seq, Tuple
 
 from repro.api.spec import ServeSpec
-from repro.serve.server import ServeReport, ServeReportStore
+from repro.serve.server import ServeReport
 
 #: Default sweep grids: batch depths in powers of two, coalescing windows
 #: from "dispatch immediately" to a generous 50 ms.
@@ -92,12 +92,9 @@ def _per_kiloframe(cand: PolicyCandidate) -> Optional[float]:
 
 
 class _SweepKind(NamedTuple):
-    """Everything that differs between a serve and a fleet sweep."""
+    """Everything that differs between a serve and a fleet sweep's table
+    and objective (the rest follows from the points' spec kind)."""
 
-    spec_cls: type
-    report_cls: type
-    store_cls: type
-    method: str  # the Session method evaluating one point
     effective_fingerprint: Callable
     sort_key: Callable  # the objective, then its tie-breaks
     noun: str
@@ -121,7 +118,7 @@ def _sweep_kind(kind: str) -> _SweepKind:
     """The table entry of sweep kind ``"serve"`` or ``"fleet"``."""
     if kind == "serve":
         return _SweepKind(
-            ServeSpec, ServeReport, ServeReportStore, "serve", _serve_fingerprint,
+            _serve_fingerprint,
             lambda c: (c.cost_seconds, c.p99_ms, c.spec.policy.max_batch_size,
                        c.spec.policy.max_wait_ms),
             "policy",
@@ -138,11 +135,7 @@ def _sweep_kind(kind: str) -> _SweepKind:
             " — the offered load is infeasible on this device",
         )
     if kind == "fleet":
-        from repro.fleet.server import FleetReport, FleetReportStore
-        from repro.fleet.spec import FleetSpec
-
         return _SweepKind(
-            FleetSpec, FleetReport, FleetReportStore, "serve_fleet",
             lambda point: point.fingerprint,
             lambda c: (c.cost_per_frame, c.spec.replicas, c.p99_ms,
                        c.spec.policy.max_batch_size),
@@ -215,14 +208,11 @@ def _evaluate_point(item):
     :class:`~repro.api.session.Session` over the shared cache directory;
     return its report as a plain dict (the parent rebuilds it like a
     cache hit) and the session's counters (the parent adds them up)."""
-    kind, cache_dir, spec_dict, use_cache = item
+    spec_cls, cache_dir, spec_dict, use_cache = item
     from repro.api.session import Session
 
-    table = _sweep_kind(kind)
     session = Session(cache_dir=cache_dir)
-    report = getattr(session, table.method)(
-        table.spec_cls.from_dict(spec_dict), use_cache=use_cache
-    )
+    report = session.serve(spec_cls.from_dict(spec_dict), use_cache=use_cache)
     counters = {name: getattr(session, name) for name in _SESSION_COUNTERS}
     counters["cache_hits"] = session.cache_hits
     counters["cache_misses"] = session.cache_misses
@@ -263,24 +253,25 @@ def sweep_reports(
     from repro.utils.parmap import ParallelMapError, parallel_map, resolve_workers
 
     notify = progress if progress is not None else (lambda label: None)
-    table = _sweep_kind(kind)
-    run = getattr(session, table.method)
+    for point in specs:
+        if point.KIND != kind:
+            raise ValueError(f"a {kind} sweep got a {point.KIND} spec: {point.label}")
     serial = resolve_workers(workers, len(specs)) <= 1
     cache_dir = str(session.cache.root) if session.cache is not None else None
-    store = table.store_cls(cache_dir) if cache_dir is not None and use_cache else None
+    cached = cache_dir is not None and use_cache
     reports = [None] * len(specs)
 
     def in_process(i: int) -> None:
-        reports[i] = run(specs[i], use_cache=use_cache)
+        reports[i] = session.serve(specs[i], use_cache=use_cache)
         notify(labels[i])
 
     pending: List[int] = []
     for i, point in enumerate(specs):
-        if serial or (store is not None and point.fingerprint in store):
+        if serial or (cached and point.fingerprint in point._store_cls()(cache_dir)):
             in_process(i)
         else:
             pending.append(i)
-    while pending and store is not None:
+    while pending and cached:
         # A point that shed nothing stored the complete trace; one whose
         # served frames were all replayed found the trace long enough.
         replayed = session.frames_replayed
@@ -290,7 +281,7 @@ def sweep_reports(
         if not report.frames_shed or session.frames_replayed - replayed >= report.frames_served:
             break
     if pending:
-        items = [(kind, cache_dir, specs[i].to_dict(), use_cache) for i in pending]
+        items = [(type(specs[i]), cache_dir, specs[i].to_dict(), use_cache) for i in pending]
         try:
             results = parallel_map(
                 _evaluate_point,
@@ -303,7 +294,7 @@ def sweep_reports(
             # A failing point raises what the serial sweep would raise.
             raise exc.__cause__
         for i, (payload, counters) in zip(pending, results):
-            reports[i] = table.report_cls.from_dict(payload)
+            reports[i] = specs[i]._store_cls().REPORT.from_dict(payload)
             _add_counters(session, counters)
     return reports
 
@@ -311,7 +302,7 @@ def sweep_reports(
 def _tune(
     session,
     kind: str,
-    grid: Seq[Tuple[object, str]],
+    points: Seq,
     *,
     slo_p99_ms: float,
     slo_wait_p95_ms: Optional[float] = None,
@@ -319,7 +310,8 @@ def _tune(
     on_progress: Optional[Callable[[int, int, str], None]],
     workers: Optional[int],
 ) -> TuneResult:
-    """The sweep driver behind both tuners, over ``(spec, label)`` points.
+    """The sweep driver behind both tuners, over grid ``points`` (specs
+    labelled by their ``knobs``).
 
     The first point of each effective fingerprint goes through
     :func:`sweep_reports`; later ones are aliases sharing its report,
@@ -330,6 +322,7 @@ def _tune(
     if slo_wait_p95_ms is not None and slo_wait_p95_ms <= 0:
         raise ValueError(f"slo_wait_p95_ms must be positive, got {slo_wait_p95_ms}")
     table = _sweep_kind(kind)
+    grid = [(point, point.knobs) for point in points]
     by_fingerprint: dict = {}  # effective fingerprint -> canonical grid index
     owner = [
         by_fingerprint.setdefault(table.effective_fingerprint(point), gi)
@@ -404,18 +397,15 @@ def tune_policy(
     max_waits_ms = DEFAULT_MAX_WAITS_MS if max_waits_ms is None else max_waits_ms
     if not batch_sizes or not max_waits_ms:
         raise ValueError("batch_sizes and max_waits_ms must be non-empty")
-    grid = [
-        (
-            replace(spec, policy=replace(spec.policy, max_batch_size=batch, max_wait_ms=wait)),
-            f"batch={batch} wait={wait:g}ms",
-        )
+    points = [
+        replace(spec, policy=replace(spec.policy, max_batch_size=batch, max_wait_ms=wait))
         for batch in map(int, batch_sizes)
         for wait in map(float, max_waits_ms)
     ]
     return _tune(
         session,
         "serve",
-        grid,
+        points,
         slo_p99_ms=slo_p99_ms,
         slo_wait_p95_ms=slo_wait_p95_ms,
         use_cache=use_cache,

@@ -5,6 +5,7 @@ import multiprocessing
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +247,42 @@ class TestResultCacheUnit:
         assert path.read_bytes() == json.dumps(payload, allow_nan=True).encode("utf-8")
         loaded = store._read("ab" * 32, "values", list)
         assert np.isnan(loaded[0]) and loaded[1:] == payload["values"][1:]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        """An encode error mid-write removes its temp file (``stats``/``ls``/
+        ``prune`` see only ``*.json``) and keeps the existing entry."""
+        store = ResultCache(tmp_path)
+        fingerprint = "ab" * 32
+        path = store._write(fingerprint, {"values": [1, 2]})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            store._write(fingerprint, {"x": object()})
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+        assert path.read_bytes() == before
+        assert store.prune(0) == 1
+        assert not path.parent.exists()
+
+    def test_entry_labels_come_from_the_store_that_wrote_them(self, tmp_path):
+        from repro.serve.server import ServeReportStore
+        from repro.serve.trace import ComputeTrace, TraceStore
+
+        session = Session(cache_dir=tmp_path)
+        spec = _spec()
+        session.run(spec)
+        fixture = json.loads(
+            (Path(__file__).parent / "fixtures" / "serve_report_entry.json").read_text()
+        )
+        report_fp, bare_fp, trace_fp = "cd" * 32, "ef" * 32, "12" * 32
+        ServeReportStore(tmp_path)._write(report_fp, fixture)
+        ServeReportStore(tmp_path)._write(bare_fp, {**fixture, "spec": None})
+        TraceStore(tmp_path).store(trace_fp, ComputeTrace())
+        labels = {e.fingerprint: e.label for e in session.cache.entries(with_labels=True)}
+        assert labels == {
+            spec.fingerprint: "resnet10a, resnet50, CaTDet @ kitti",
+            report_fp: "resnet10a, resnet50, CaTDet @ kitti x2 poisson batch=4 wait=10ms",
+            bare_fp: None,
+            trace_fp: "compute trace: 0 stream(s), 0 frame(s)",
+        }
 
     def test_entry_written_with_json_dump_still_loads(self, tmp_path):
         session = Session(cache_dir=tmp_path)

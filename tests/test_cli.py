@@ -278,6 +278,50 @@ class TestClusterCommands:
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         assert "entries: 0" in capsys.readouterr().out
 
+    def test_cache_ls_labels_every_tune_point(self, tmp_path, capsys):
+        """Each store labels its own entries: a serve tune lists one row
+        per unique grid point (its batching knobs) plus the compute
+        trace, and a fleet tune adds one row per fleet shape."""
+        cache_dir = str(tmp_path / "cache")
+        load = ["--streams", "2", "--frames", "8", "--sequences", "2",
+                "--seq-frames", "15", "--rate", "3", "--cache-dir", cache_dir]
+
+        def listed():
+            assert main(["cache", "ls", "--cache-dir", cache_dir]) == 0
+            rows = capsys.readouterr().out.splitlines()[3:]
+            labels = [row.split("  ")[-1].strip() for row in rows]
+            assert "?" not in labels
+            reports = [label for label in labels if "poisson" in label]
+            traces = [label for label in labels if "poisson" not in label]
+            return reports, traces
+
+        # batch=1 wait=25 aliases batch=1 wait=0: 3 unique points.
+        assert main(["serve", "catdet", "resnet50", "resnet10a", *load,
+                     "--device", "titanx", "--tune", "--slo-p99-ms", "300",
+                     "--batch-grid", "1,4", "--wait-grid", "0,25"]) == 0
+        capsys.readouterr()
+        reports, traces = listed()
+        serve_label = "resnet10a, resnet50, CaTDet @ kitti x2 poisson"
+        assert sorted(reports) == [
+            f"{serve_label} batch=1 wait=0ms",
+            f"{serve_label} batch=4 wait=0ms",
+            f"{serve_label} batch=4 wait=25ms",
+        ]
+        assert traces == ["compute trace: 2 stream(s), 16 frame(s)"]
+
+        assert main(["fleet", "tune", "single", "resnet10a", *load,
+                     "--slo-p99-ms", "3000", "--replica-grid", "1,2",
+                     "--devices", "edge"]) in (0, 1)
+        capsys.readouterr()
+        reports, traces = listed()
+        assert len(set(reports)) == len(reports) == 5
+        for count in (1, 2):
+            assert sum(
+                label.endswith(f"poisson replicas={count} devices=edge batch=8")
+                for label in reports
+            ) == 1
+        assert len(traces) == 2
+
     def test_cache_requires_directory(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         assert main(["cache", "stats"]) == 2
