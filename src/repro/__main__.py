@@ -1015,10 +1015,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"{paper['shared_seconds']:.2f}s vs a session per point "
             f"{paper['per_point_seconds']:.2f}s ({paper['grid_points']} points)"
         )
-    rows = [[name, f"{e['host_us_per_frame']:.0f}", f"{e['device_us_per_frame']:.0f}"]
+    keys = ("host_us_per_frame", "device_us_per_frame", "replayed_host_us_per_frame")
+    rows = [[name, *(f"{e.get(k, float('nan')):.0f}" for k in keys)]
             for name, e in payload.get("serve_e2e", {}).items()]
     if rows:
-        print(format_table(["serve_e2e", "host us/frame", "device us/frame"], rows))
+        print(format_table(["serve_e2e", "host us/frame", "device us/frame", "replayed"], rows))
     m = payload.get("metrics")
     if m is not None:
         print(f"metrics: mean_delay(0.8) {m['mean_delay_cps']:.0f} calls/s, mean_ap() "

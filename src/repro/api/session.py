@@ -306,7 +306,7 @@ class Session:
             metrics=metrics, sinks=sinks, trace=trace, record_trace=trace_store is not None
         )
         report = server.run(requests)
-        self._finish_trace(trace_store, trace_key, trace, server)
+        self._finish_trace(spec, trace_store, trace_key, trace, server)
         if store is not None and use_cache:
             store.store(spec.fingerprint, report, spec=spec.to_dict())
         return report
@@ -331,7 +331,7 @@ class Session:
             self.trace_misses += 1
         return trace_store, trace_key, trace
 
-    def _finish_trace(self, trace_store, trace_key, trace, server) -> None:
+    def _finish_trace(self, spec, trace_store, trace_key, trace, server) -> None:
         """Account a finished run's replays and persist its out-trace.
 
         Stored only when strictly longer than what the store held — a
@@ -344,7 +344,7 @@ class Session:
         recorded = server.recorded_trace
         stored_frames = trace.total_frames if trace is not None else 0
         if recorded is not None and recorded.total_frames > stored_frames:
-            trace_store.store(trace_key, recorded)
+            trace_store.store(trace_key, recorded, spec=spec)
 
     def serve_fleet(
         self,

@@ -416,7 +416,9 @@ def bench_paper_e2e(
 def bench_serve_e2e(on_progress: Optional[Callable[[str], None]] = None) -> Dict[str, Any]:
     """Host wall µs per served frame (median of 3 cold servers) beside the
     modelled :class:`~repro.serve.ServiceModel` device µs, unbatched and in
-    batches of up to 8.  Neither is gated: host µs depend on the machine."""
+    batches of up to 8, plus replaying the same deployment from its compute
+    trace and the live/replayed ratio.  None is gated: host µs depend on the
+    machine, and the ratio waits for one interleaved measurement helper."""
     from repro.serve import DetectionServer, LoadSpec, ServePolicy, ServiceModel, generate_load
 
     system = SystemConfig("catdet", "resnet50", "resnet10a", detailed_ops=False)
@@ -429,15 +431,24 @@ def bench_serve_e2e(on_progress: Optional[Callable[[str], None]] = None) -> Dict
             if on_progress:
                 on_progress(f"serve_e2e {n} streams, batch {batch}")
             policy = ServePolicy(max_batch_size=batch, max_wait_ms=25.0, queue_capacity=1024)
-            reports = [
-                DetectionServer(system, policy=policy, service=service).run(requests)
-                for _ in range(3)
-            ]
-            frames = max(reports[0].frames_served, 1)
+            recorder = DetectionServer(system, policy=policy, service=service, record_trace=True)
+            recorder.run(requests)
+            live, replayed = (
+                [DetectionServer(system, policy=policy, service=service, trace=trace)
+                 .run(requests) for _ in range(3)]
+                for trace in (None, recorder.recorded_trace)
+            )
+            frames = max(live[0].frames_served, 1)
+            live_us, replayed_us = (
+                statistics.median(r.wall_seconds for r in runs) / frames * 1e6
+                for runs in (live, replayed)
+            )
             out[f"streams_{n}_batch_{batch}"] = {
                 "cpus": effective_cpu_count(),
-                "host_us_per_frame": statistics.median(r.wall_seconds for r in reports) / frames * 1e6,
-                "device_us_per_frame": reports[0].compute_seconds / frames * 1e6,
+                "host_us_per_frame": live_us,
+                "replayed_host_us_per_frame": replayed_us,
+                "replay_speedup": live_us / replayed_us,
+                "device_us_per_frame": live[0].compute_seconds / frames * 1e6,
             }
     return out
 

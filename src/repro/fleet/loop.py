@@ -63,10 +63,11 @@ class _StreamState:
 
     __slots__ = ("pipeline", "sequence", "results", "query")
 
-    def __init__(self, pipeline, query=None):
+    def __init__(self, pipeline, query=None, traced=False):
         self.pipeline = pipeline
         self.sequence: Optional[Sequence] = None
-        self.results = FrameResultBuffer()
+        # A traced run's trace holds its results already: keep references.
+        self.results = [] if traced else FrameResultBuffer()
         # Per-stream scenario-query evaluator, cloned like the tracker.
         self.query = query
 
@@ -208,7 +209,8 @@ class ServingLoop:
                 from repro.query.automaton import QueryEvaluator
 
                 evaluator = QueryEvaluator(self.query, request.stream)
-            state = self._streams[request.stream] = _StreamState(pipeline, evaluator)
+            traced = self._trace_runner is not None
+            state = self._streams[request.stream] = _StreamState(pipeline, evaluator, traced)
         if state.sequence is not request.sequence:
             state.pipeline.begin_sequence(request.sequence)
             state.sequence = request.sequence
@@ -220,24 +222,23 @@ class ServingLoop:
     def _execute(self, batch: List[QueuedFrame]) -> tuple:
         """Run one batch through the engine.
 
-        Returns ``(results, invocations, macs, windows)`` — the last
-        being the frames-of-interest windows the streams' query
-        evaluators completed on this batch's frames (empty without a
-        query).
+        Returns ``(invocations, macs, windows)`` — the last being the
+        frames-of-interest windows the streams' query evaluators
+        completed on this batch's frames (empty without a query).
         """
         if self._trace_runner is not None:
             from repro.serve.trace import traced_execute
 
-            return traced_execute(self, batch)
-        work = []
-        states = []
-        for item in batch:
-            state = self._stream_state(item.request)
-            states.append(state)
-            work.append((state.pipeline, item.request.sequence, item.request.frame))
-        before = self._measured_invocations()
-        frame_results = run_frame_batch(work, metrics=self.metrics)
-        invocations = self._measured_invocations() - before
+            states, frame_results, invocations = traced_execute(self, batch)
+        else:
+            states = [self._stream_state(item.request) for item in batch]
+            work = [
+                (state.pipeline, item.request.sequence, item.request.frame)
+                for state, item in zip(states, batch)
+            ]
+            before = self._measured_invocations()
+            frame_results = run_frame_batch(work, metrics=self.metrics)
+            invocations = self._measured_invocations() - before
         macs = sum(fr.ops.total for fr in frame_results)
         windows = []
         for state, fr in zip(states, frame_results):
@@ -246,7 +247,7 @@ class ServingLoop:
                 window = state.query.observe(fr)
                 if window is not None:
                     windows.append(window)
-        return frame_results, invocations, macs, windows
+        return invocations, macs, windows
 
     # ------------------------------------------------------------------ #
     # Rebalancing (the only operations that move streams)
@@ -428,7 +429,7 @@ class ServingLoop:
             for item in batch:
                 replica.queue.remove(item)
             replica.m_depth.set(len(replica.queue))
-            _, batch_inv, macs, qwindows = self._execute(batch)
+            batch_inv, macs, qwindows = self._execute(batch)
             for window in qwindows:
                 query_events += 1
                 m_query.inc(labels=(window.stream,))
@@ -462,17 +463,19 @@ class ServingLoop:
             if fleet is not None:
                 fleet.batches.inc()
                 fleet.invocations.inc(batch_inv)
-            for item in batch:
-                wait = now - item.request.arrival
-                latency = completion - item.request.arrival
+                fleet.frames.inc(len(batch), labels=("out",))
+            # One instrument update per batch: the autoscaler reads the
+            # histograms only between batches, at its control ticks.
+            replica.m_frames.inc(len(batch), labels=("out",))
+            waits = [now - item.request.arrival for item in batch]
+            latencies = [completion - item.request.arrival for item in batch]
+            replica.m_wait.observe_many(waits)
+            replica.m_latency.observe_many(latencies)
+            for item, wait, latency in zip(batch, waits, latencies):
                 account.record(
                     item.request.stream, wait=wait, compute=service, latency=latency
                 )
-                replica.m_frames.inc(labels=("out",))
-                replica.m_wait.observe(wait)
-                replica.m_latency.observe(latency)
                 if fleet is not None:
-                    fleet.frames.inc(labels=("out",))
                     continue
                 for sink in sinks:
                     sink.emit(
@@ -491,7 +494,7 @@ class ServingLoop:
             """Offer every idle replica with queued frames a dispatch, in
             index order; returns the wake deadlines of those that waited."""
             wakes = []
-            for replica in sorted(pool.serving(), key=lambda r: r.index):
+            for replica in pool.serving():
                 if replica.idle and replica.queue:
                     wake = dispatch(replica)
                     if wake is not None:

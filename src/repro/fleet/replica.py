@@ -182,6 +182,11 @@ class ReplicaSet:
         self.metrics = metrics
         self.replicas: List[Replica] = []
         self._next_index = 0
+        self._refresh()
+
+    def _refresh(self) -> None:  # after every lifecycle change
+        self._active = [r for r in self.replicas if r.state == ACTIVE]
+        self._serving = [r for r in self.replicas if r.state in (ACTIVE, DRAINING)]
 
     def spawn(self, now: float) -> Replica:
         """Bring up the next replica on the next service model."""
@@ -194,31 +199,31 @@ class ReplicaSet:
         )
         self._next_index += 1
         self.replicas.append(replica)
+        self._refresh()
         return replica
 
-    def active(self) -> List[Replica]:
-        return [r for r in self.replicas if r.state == ACTIVE]
+    def active(self) -> List[Replica]:  # cached lists, in index order: read only
+        return self._active
 
     def serving(self) -> List[Replica]:
-        return [r for r in self.replicas if r.state in (ACTIVE, DRAINING)]
+        return self._serving
 
     def drain(self, replica: Replica) -> None:
         """Stop routing to ``replica``; it retires once idle and empty."""
         if replica.state == ACTIVE:
             replica.state = DRAINING
+            self._refresh()
 
     def retire_idle(self, now: float) -> List[Replica]:
         """Retire draining replicas with no queue and no in-flight batch."""
         done = []
-        for replica in self.replicas:
-            if (
-                replica.state == DRAINING
-                and replica.idle
-                and not replica.queue
-            ):
+        for replica in self._serving:
+            if replica.state == DRAINING and replica.idle and not replica.queue:
                 replica.state = RETIRED
                 replica.retired_at = now
                 done.append(replica)
+        if done:
+            self._refresh()
         return done
 
     def replica_seconds(self, makespan: float) -> float:

@@ -7,8 +7,8 @@ observability layer (health snapshots, ``repro status``, sinks) reads
 
 * **zero-alloc hot path** — ``Counter.inc`` / ``Histogram.observe`` are
   a dict lookup, a bisect into a pre-computed bounds tuple and a few
-  float adds under one lock; no objects are created after a label series
-  has been touched once;
+  float adds under one lock (``observe_many``: one per batch); nothing is
+  created or re-checked after a label series has been touched once;
 * **thread-safe** — a worker's heartbeat thread, the serving loop and a
   health reporter may all touch one registry concurrently.  Every metric
   of a registry shares the registry's single re-entrant lock, and
@@ -118,8 +118,9 @@ class Counter(Metric):
     def inc(self, amount: float = 1, labels: LabelValues = ()) -> None:
         if amount < 0:
             raise ValueError(f"counters only go up, got {amount}")
-        _check_labels(labels, self.label_names, self.name)
         with self._lock:
+            if labels not in self._series:
+                _check_labels(labels, self.label_names, self.name)
             self._series[labels] = self._series.get(labels, 0) + amount
 
     def value(self, labels: LabelValues = ()) -> float:
@@ -144,8 +145,9 @@ class Gauge(Metric):
     kind = "gauge"
 
     def set(self, value: float, labels: LabelValues = ()) -> None:
-        _check_labels(labels, self.label_names, self.name)
         with self._lock:
+            if labels not in self._series:
+                _check_labels(labels, self.label_names, self.name)
             self._series[labels] = value
 
     def inc(self, amount: float = 1, labels: LabelValues = ()) -> None:
@@ -234,6 +236,24 @@ class Histogram(Metric):
                 series.min = value
             if value > series.max:
                 series.max = value
+
+    def observe_many(self, values: Sequence[float], labels: LabelValues = ()) -> None:
+        """``observe`` each value in order (a plain ``+=`` sum, bit-equal)."""
+        if not values:
+            return
+        with self._lock:
+            series = self._series.get(labels)
+            if series is None:
+                _check_labels(labels, self.label_names, self.name)
+                series = self._series[labels] = _HistSeries(len(self.bounds) + 1)
+            counts, bounds, total = series.counts, self.bounds, series.sum
+            for value in values:
+                counts[bisect_left(bounds, value)] += 1
+                total += value
+            series.sum = total
+            series.count += len(values)
+            series.min = min(series.min, min(values))
+            series.max = max(series.max, max(values))
 
     # ------------------------------------------------------------------ #
     # Reading

@@ -442,7 +442,7 @@ class _ServingFront:
         self.frames_replayed = loop.frames_replayed
         self.recorded_trace = loop.recorded_trace
         fleet = result.account.fleet()
-        slo = result.account.to_dict()
+        slo = result.account.to_dict(fleet)
         summary, fields = self._own_fields(requests, pool, result, fleet, slo)
         loop.emit_summary(
             {

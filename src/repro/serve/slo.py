@@ -15,18 +15,19 @@ the statistics are exact and deterministic; the reporting layer converts
 to milliseconds.
 
 Memory is bounded: each accumulator keeps exact per-frame sample lists
-only up to ``max_exact_samples`` frames, while *always* feeding three
-fixed-bucket :class:`~repro.obs.registry.Histogram`\\ s (latency, wait,
-compute).  Below the bound, percentiles are exact (``numpy.percentile``
-over the lists); beyond it the sample lists are released and percentiles
-come from the histograms — within one bucket width of exact, which the
-test suite pins.  Means, counts and maxima are running scalars and stay
-exact at any scale.
+only up to ``max_exact_samples`` frames, backed by three fixed-bucket
+:class:`~repro.obs.registry.Histogram`\\ s (latency, wait, compute)
+that are built lazily from the lists (first read, merge or overflow) and
+fed per sample after that.  Below the bound, percentiles are exact (one
+``numpy.percentile`` call over all three lists); beyond it the lists are
+released and percentiles come from the histograms — within one bucket
+width of exact, which the test suite pins.  Means, counts and maxima are
+running scalars and stay exact at any scale.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,9 +71,8 @@ class LatencyStats:
         self.latencies: List[float] = []
         self.waits: List[float] = []
         self.computes: List[float] = []
-        self.hist_latency = Histogram("latency_seconds", buckets=buckets)
-        self.hist_wait = Histogram("wait_seconds", buckets=buckets)
-        self.hist_compute = Histogram("compute_seconds", buckets=buckets)
+        self.buckets = buckets
+        self._hists: Optional[Tuple[Histogram, Histogram, Histogram]] = None
         self.served = 0
         self.shed = 0
         self.shed_reasons: Dict[str, int] = {}
@@ -86,11 +86,24 @@ class LatencyStats:
         """Whether percentiles still come from exact sample lists."""
         return self.served <= self.max_exact_samples
 
+    def _histograms(self) -> Tuple[Histogram, Histogram, Histogram]:
+        """The (latency, wait, compute) histograms, built from the exact
+        lists on first use (until then the lists hold every sample)."""
+        if self._hists is None:
+            names = ("latency_seconds", "wait_seconds", "compute_seconds")
+            self._hists = tuple(Histogram(name, buckets=self.buckets) for name in names)
+            for hist, samples in zip(self._hists, (self.latencies, self.waits, self.computes)):
+                hist.observe_many(samples)
+        return self._hists
+
+    hist_latency = property(lambda self: self._histograms()[0])
+    hist_wait = property(lambda self: self._histograms()[1])
+    hist_compute = property(lambda self: self._histograms()[2])
+
     def _overflow(self) -> None:
         """Release the exact lists; the histograms carry on alone."""
-        self.latencies = []
-        self.waits = []
-        self.computes = []
+        self._histograms()
+        self.latencies, self.waits, self.computes = [], [], []
 
     def add(self, wait: float, compute: float, latency: float, *, violated: bool) -> None:
         wait, compute, latency = float(wait), float(compute), float(latency)
@@ -99,15 +112,15 @@ class LatencyStats:
         self._sum_compute += compute
         if latency > self._max_latency:
             self._max_latency = latency
-        self.hist_wait.observe(wait)
-        self.hist_compute.observe(compute)
-        self.hist_latency.observe(latency)
         if self.exact:
             self.waits.append(wait)
             self.computes.append(compute)
             self.latencies.append(latency)
         elif self.latencies:
             self._overflow()
+        if self._hists is not None:
+            for hist, value in zip(self._hists, (latency, wait, compute)):
+                hist.observe(value)
         if violated:
             self.violations += 1
 
@@ -128,9 +141,8 @@ class LatencyStats:
         self._sum_wait += other._sum_wait
         self._sum_compute += other._sum_compute
         self._max_latency = max(self._max_latency, other._max_latency)
-        self.hist_latency.merge(other.hist_latency)
-        self.hist_wait.merge(other.hist_wait)
-        self.hist_compute.merge(other.hist_compute)
+        for mine, theirs in zip(self._histograms(), other._histograms()):
+            mine.merge(theirs)
         if both_exact and self.exact:
             self.latencies.extend(other.latencies)
             self.waits.extend(other.waits)
@@ -140,24 +152,27 @@ class LatencyStats:
             # accumulator is histogram-only from here on.
             self._overflow()
 
-    def _percentile(self, samples: List[float], hist: Histogram, q: float) -> float:
+    def _percentiles(self, qs: Sequence[float]) -> List[List[float]]:
+        """Percentiles ``qs`` of the (latency, wait, compute) samples; while
+        exact, one ``numpy.percentile`` call (per row, as one per list)."""
         if self.served == 0:
-            return 0.0
-        if len(samples) == self.served:
-            return float(np.percentile(np.asarray(samples), q))
-        return hist.quantile(q)
+            return [[0.0] * len(qs)] * 3
+        if len(self.latencies) == self.served:
+            samples = np.array([self.latencies, self.waits, self.computes])
+            return np.percentile(samples, qs, axis=1).T.tolist()
+        return [[hist.quantile(q) for q in qs] for hist in self._histograms()]
 
     def percentile(self, q: float) -> float:
         """The ``q``-th latency percentile in seconds (0 when empty)."""
-        return self._percentile(self.latencies, self.hist_latency, q)
+        return self._percentiles((q,))[0][0]
 
     def wait_percentile(self, q: float) -> float:
         """The ``q``-th queue-wait percentile in seconds."""
-        return self._percentile(self.waits, self.hist_wait, q)
+        return self._percentiles((q,))[1][0]
 
     def compute_percentile(self, q: float) -> float:
         """The ``q``-th compute-time percentile in seconds."""
-        return self._percentile(self.computes, self.hist_compute, q)
+        return self._percentiles((q,))[2][0]
 
     def mean_wait(self) -> float:
         return self._sum_wait / self.served if self.served else 0.0
@@ -184,10 +199,11 @@ class LatencyStats:
             "mean_compute_ms": self.mean_compute() * 1e3,
             "max_ms": self._max_latency * 1e3,
         }
-        for q in REPORT_PERCENTILES:
-            out[f"p{q:g}_ms"] = self.percentile(q) * 1e3
-            out[f"wait_p{q:g}_ms"] = self.wait_percentile(q) * 1e3
-        out["compute_p95_ms"] = self.compute_percentile(95.0) * 1e3
+        latency, wait, compute = self._percentiles(REPORT_PERCENTILES)
+        for q, lat_q, wait_q in zip(REPORT_PERCENTILES, latency, wait):
+            out[f"p{q:g}_ms"] = lat_q * 1e3
+            out[f"wait_p{q:g}_ms"] = wait_q * 1e3
+        out["compute_p95_ms"] = compute[REPORT_PERCENTILES.index(95.0)] * 1e3
         if include_histograms:
             out["histograms"] = {
                 "latency_seconds": self.hist_latency.snapshot(),
@@ -249,10 +265,12 @@ class SLOAccount:
             merged.merge(stats)
         return merged
 
-    def to_dict(self) -> Dict[str, Any]:
+    def to_dict(self, fleet: Optional[LatencyStats] = None) -> Dict[str, Any]:
+        """The report section; ``fleet`` is :meth:`fleet`, if already merged."""
+        fleet = fleet if fleet is not None else self.fleet()
         return {
             "slo_ms": None if self.slo_seconds is None else self.slo_seconds * 1e3,
-            "fleet": self.fleet().to_dict(include_histograms=True),
+            "fleet": fleet.to_dict(include_histograms=True),
             "streams": {
                 name: stats.to_dict() for name, stats in sorted(self.streams.items())
             },

@@ -42,7 +42,7 @@ stored-trace frames only; the ``serve_trace_frames_total{source}``
 counter splits every traced frame into ``replayed``, ``shared`` and
 ``live``.  Shared
 :class:`~repro.core.results.FrameResult`\\ s are only ever read
-downstream (result buffers copy them, query evaluators read them).
+downstream (result lists and query evaluators hold references to them).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.cache import EntryStore
 from repro.api.spec import content_digest
-from repro.core.config import config_to_dict
+from repro.core.config import config_from_dict, config_to_dict
 from repro.core.results import FrameResult
 from repro.engine.stages import run_frame_batch
 from repro.harness.io import _frame_dict, _frame_from_dict
@@ -71,13 +71,13 @@ def trace_fingerprint(spec: Any) -> str:
     shape), which is what lets a fleet sweep replay a trace a bare-server
     run recorded.
     """
-    payload = {
-        "format": TRACE_FORMAT,
-        "system": config_to_dict(spec.system),
-        "dataset": spec.dataset.to_dict(),
-        "load": spec.load.to_dict(),
-    }
-    return content_digest(payload)
+    return content_digest({"format": TRACE_FORMAT, **trace_sections(spec)})
+
+
+def trace_sections(spec: Any) -> Dict[str, Any]:
+    """The system/dataset/load sections of ``spec`` that key its trace."""
+    system, dataset, load = spec.system, spec.dataset, spec.load
+    return {"system": config_to_dict(system), "dataset": dataset.to_dict(), "load": load.to_dict()}
 
 
 class FrameRecord:
@@ -211,14 +211,22 @@ class TraceStore(EntryStore):
             _held = (fingerprint, raw, trace)
         return trace
 
-    def store(self, fingerprint: str, trace: ComputeTrace) -> Path:
-        return self._write_entry(fingerprint, trace=trace.to_dict())
+    def store(self, fingerprint: str, trace: ComputeTrace, *, spec=None) -> Path:
+        """Write ``trace`` beside the :func:`trace_sections` of ``spec``."""
+        sections = None if spec is None else trace_sections(spec)
+        return self._write_entry(fingerprint, spec=sections, trace=trace.to_dict())
 
     @classmethod
     def _label(cls, payload: Dict[str, Any]) -> str:
         streams = payload["trace"]["streams"].values()
         frames = sum(len(stream["records"]) for stream in streams)
-        return f"compute trace: {len(streams)} stream(s), {frames} frame(s)"
+        spec, name = payload.get("spec"), ""
+        if spec is not None:  # entries written before traces kept their key
+            name = (
+                f"{config_from_dict(spec['system']).label} @ {spec['dataset']['family']} "
+                f"x{spec['load']['num_streams']} {spec['load']['pattern']}, "
+            )
+        return f"compute trace: {name}{len(streams)} stream(s), {frames} frame(s)"
 
 
 class _Lane:
@@ -264,6 +272,7 @@ class TraceRunner:
         self._trace = trace if trace is not None else ComputeTrace()
         self.shareable = shareable
         self.frames_replayed = 0
+        self.frames_counter = None  # looked up at the run's first batch
         self._new_pipeline = new_pipeline
         self._lanes: Dict[str, _Lane] = {}
         self._cursors: Dict[str, _Cursor] = {}
@@ -336,14 +345,15 @@ class TraceRunner:
 
 
 def traced_execute(loop: Any, batch: List[Any]):
-    """Replay-aware ``ServingLoop._execute``.
+    """The replay-aware engine half of ``ServingLoop._execute``: the
+    batch's ``(stream states, frame results, invocations)``.
 
     Serves each frame from the stream's stored trace prefix or its
     sequence lane while its admitted subsequence matches them, computes
     the rest — new lane frames on the lane's pipeline, once however many
     streams of the batch need them, and diverged streams on their own —
-    and reassembles per-frame results, the batch invocation count and
-    MACs exactly as the live path would have measured them:
+    and reassembles per-frame results and the batch invocation count
+    exactly as the live path would have measured them:
 
     * shareable systems make a constant number of batched detector calls
       per dispatch whatever the batch holds, so the computed cohort's
@@ -397,10 +407,8 @@ def traced_execute(loop: Any, batch: List[Any]):
             rec.result, rec.invocations = fr, invocations
     else:
         invocations = max(rec.invocations for rec in records)
-    frame_results = [rec.result for rec in records]
-    macs = sum(fr.ops.total for fr in frame_results)
     runner.frames_replayed += sources.count("replayed")
-    counter = loop.metrics.counter(
+    counter = runner.frames_counter = runner.frames_counter or loop.metrics.counter(
         "serve_trace_frames_total",
         "traced frames served, by where their result came from",
         labels=("source",),
@@ -408,13 +416,6 @@ def traced_execute(loop: Any, batch: List[Any]):
     for source in ("replayed", "shared", "live"):
         if source in sources:
             counter.inc(sources.count(source), labels=(source,))
-
-    windows = []
-    for item, state, rec in zip(batch, states, records):
+    for item, rec in zip(batch, records):
         runner.append(item.request.stream, item.request.sequence.name, rec)
-        state.results.append(rec.result)
-        if state.query is not None:
-            window = state.query.observe(rec.result)
-            if window is not None:
-                windows.append(window)
-    return frame_results, invocations, macs, windows
+    return states, [rec.result for rec in records], invocations

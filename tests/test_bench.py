@@ -109,6 +109,10 @@ class TestServeE2EBench:
         for entry in out.values():
             assert entry["cpus"] >= 1
             assert entry["host_us_per_frame"] > 0 and entry["device_us_per_frame"] > 0
+            assert entry["replayed_host_us_per_frame"] > 0
+            assert entry["replay_speedup"] == pytest.approx(
+                entry["host_us_per_frame"] / entry["replayed_host_us_per_frame"]
+            )
         # Batching amortizes the modelled per-invocation overhead.
         assert out["streams_2_batch_8"]["device_us_per_frame"] <= (
             out["streams_2_batch_1"]["device_us_per_frame"]
@@ -150,6 +154,10 @@ class TestBenchCommand:
                     "streams_8_batch_1": {
                         "cpus": 2, "host_us_per_frame": 2100.4, "device_us_per_frame": 9670.9,
                     },
+                    "streams_8_batch_8": {
+                        "cpus": 2, "host_us_per_frame": 1800.2, "device_us_per_frame": 3100.7,
+                        "replayed_host_us_per_frame": 300.1, "replay_speedup": 6.0,
+                    },
                 },
                 "metrics": {
                     "cpus": 2, "scores_per_class": 2000,
@@ -166,6 +174,7 @@ class TestBenchCommand:
         assert "tracker_catdet" in out
         assert "paper_e2e: 1.40x" in out
         assert re.search(r"streams_8_batch_1\s+2100\s+9671", out)
+        assert re.search(r"streams_8_batch_8\s+1800\s+3101\s+300", out)
         assert "metrics: mean_delay(0.8) 812 calls/s, mean_ap() 2605 calls/s" in out
         assert "(2 classes x 2000 scores, 2 cpus)" in out
 

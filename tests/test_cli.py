@@ -291,8 +291,8 @@ class TestClusterCommands:
             rows = capsys.readouterr().out.splitlines()[3:]
             labels = [row.split("  ")[-1].strip() for row in rows]
             assert "?" not in labels
-            reports = [label for label in labels if "poisson" in label]
-            traces = [label for label in labels if "poisson" not in label]
+            traces = [label for label in labels if label.startswith("compute trace:")]
+            reports = [label for label in labels if label not in traces]
             return reports, traces
 
         # batch=1 wait=25 aliases batch=1 wait=0: 3 unique points.
@@ -307,7 +307,9 @@ class TestClusterCommands:
             f"{serve_label} batch=4 wait=0ms",
             f"{serve_label} batch=4 wait=25ms",
         ]
-        assert traces == ["compute trace: 2 stream(s), 16 frame(s)"]
+        assert traces == [
+            f"compute trace: {serve_label}, 2 stream(s), 16 frame(s)"
+        ]
 
         assert main(["fleet", "tune", "single", "resnet10a", *load,
                      "--slo-p99-ms", "3000", "--replica-grid", "1,2",
@@ -320,7 +322,12 @@ class TestClusterCommands:
                 label.endswith(f"poisson replicas={count} devices=edge batch=8")
                 for label in reports
             ) == 1
-        assert len(traces) == 2
+        # Each trace row names its deployment, so the two are distinct.
+        assert len(set(traces)) == len(traces) == 2
+        assert (
+            "compute trace: resnet10a, Faster R-CNN @ kitti x2 poisson, "
+            "2 stream(s), 16 frame(s)"
+        ) in traces
 
     def test_cache_requires_directory(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
