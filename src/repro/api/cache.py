@@ -4,15 +4,18 @@ Entries are keyed by a spec fingerprint (see
 :attr:`repro.api.spec.ExperimentSpec.fingerprint`) or, for ad-hoc
 datasets, by a combined (config, dataset content, eval) digest from
 :func:`experiment_key`.  Payloads are the lossless
-``repro-experiment-full/1`` JSON of :mod:`repro.harness.io`, so a cache
+``repro-experiment-full/2`` JSON of :mod:`repro.harness.io`, so a cache
 hit returns a result bit-identical to the original computation —
-boxes, scores, labels and op accounts included.
+boxes, scores, labels and op accounts included.  Its frames and
+evaluations are base64'd columns (:func:`repro.harness.io.encode_columns`),
+so a hit builds no per-frame objects.
 
 Layout: ``<root>/<fp[:2]>/<fp>.json`` (two-level sharding keeps any one
 directory small on big sweeps).  Writes are atomic (tmp file + rename),
 so concurrent sessions sharing a cache directory at worst duplicate
 work, never corrupt entries; corrupt or truncated files are treated as
-misses and rewritten.
+misses and rewritten, and so is an entry whose ``format`` tag is not
+the store's current one (an older layout version).
 """
 
 from __future__ import annotations
@@ -113,7 +116,8 @@ class EntryStore:
         return self.path_for(fingerprint).exists()
 
     def _read(self, fingerprint: str, section: str, parse: Callable[[Any], Any]) -> Any:
-        """``parse(payload[section])`` of the entry, or ``None`` on a miss."""
+        """``parse(payload[section])`` of the entry, or ``None`` on a miss
+        (an entry of another ``format`` tag included)."""
         return self._parse(self._read_raw(fingerprint), section, parse)
 
     def _read_raw(self, fingerprint: str) -> Optional[bytes]:
@@ -123,34 +127,51 @@ class EntryStore:
         except OSError:
             return None
 
-    @staticmethod
+    @classmethod
     def _parse(
-        raw: Optional[bytes], section: Optional[str], parse: Callable[[Any], Any]
+        cls, raw: Optional[bytes], section: Optional[str], parse: Callable[[Any], Any]
     ) -> Any:
-        """``parse(payload[section])`` of an entry's bytes (the whole
-        payload when ``section`` is ``None``), or ``None`` on a miss."""
+        """``parse(payload[section])`` of an entry's bytes, or ``None`` on a
+        miss: unreadable bytes, or a ``format`` tag other than this store's
+        (a store without a tag reads any).  With ``section`` ``None``,
+        ``parse`` gets the whole payload of any format."""
         if raw is None:
             return None
         try:
             payload = json.loads(raw)
-            return parse(payload if section is None else payload[section])
+            if section is None:
+                return parse(payload)
+            if cls.ENTRY_FORMAT not in (None, payload.get("format")):
+                return None
+            return parse(payload[section])
         except (json.JSONDecodeError, KeyError, ValueError, TypeError):
             return None
 
-    def _write(self, fingerprint: str, payload: Dict[str, Any]) -> Path:
-        """Atomically write ``payload`` as the entry for ``fingerprint``.
+    def _entry(self, fingerprint: str, **sections: Any) -> Dict[str, Any]:
+        """This store's entry: ``format`` tag, ``fingerprint``, ``sections``."""
+        return {"format": self.ENTRY_FORMAT, "fingerprint": fingerprint, **sections}
 
-        ``json.dumps`` then one write, not ``json.dump``: CPython's C
-        encoder serves only the one-shot ``dumps`` path, and the bytes are
-        the same either way.  The temp name is unique per writer thread,
-        so concurrent writers in one process never share a temp file.
+    @staticmethod
+    def _dumps(payload: Dict[str, Any]) -> bytes:
+        """An entry payload's bytes (one-shot ``json.dumps``: CPython's C
+        encoder serves only that path; the bytes equal ``json.dump``'s)."""
+        return json.dumps(payload, allow_nan=True).encode("utf-8")
+
+    def _write(self, fingerprint: str, payload: Dict[str, Any]) -> Path:
+        """Atomically write ``payload`` as the entry for ``fingerprint``."""
+        return self._write_bytes(fingerprint, self._dumps(payload))
+
+    def _write_bytes(self, fingerprint: str, data: bytes) -> Path:
+        """Atomically write ``data`` as the entry for ``fingerprint``.
+
+        The temp name is unique per writer thread, so concurrent writers
+        in one process never share a temp file.
         """
         path = self.path_for(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, allow_nan=True))
+            tmp.write_bytes(data)
             os.replace(tmp, path)
         except BaseException:
             # ``stats``/``ls``/``prune`` see only ``*.json`` entries: a temp
@@ -160,12 +181,8 @@ class EntryStore:
         return path
 
     def _write_entry(self, fingerprint: str, **sections: Any) -> Path:
-        """Atomically write this store's entry for ``fingerprint``: its
-        ``format`` tag, the ``fingerprint``, then ``sections`` in order."""
-        return self._write(
-            fingerprint,
-            {"format": self.ENTRY_FORMAT, "fingerprint": fingerprint, **sections},
-        )
+        """Atomically write this store's :meth:`_entry` for ``fingerprint``."""
+        return self._write(fingerprint, self._entry(fingerprint, **sections))
 
     @classmethod
     def _label(cls, payload: Dict[str, Any]) -> Optional[str]:
@@ -193,7 +210,7 @@ _STORE_KINDS: Dict[str, type] = {}
 class ResultCache(EntryStore):
     """Content-addressed store of serialized :class:`ExperimentResult`\\ s."""
 
-    ENTRY_FORMAT = "repro-result-cache/1"
+    ENTRY_FORMAT = "repro-result-cache/2"
 
     def __init__(self, root: Union[str, Path]):
         super().__init__(root)

@@ -64,6 +64,17 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
     )
 
 
+@lru_cache(maxsize=8)
+def load_schedule(load: Any, dataset: DatasetSpec) -> Tuple[Any, ...]:
+    """The arrival schedule (:func:`~repro.serve.loadgen.generate_load`)
+    of ``load`` over ``dataset``'s dataset, generated once per process
+    and shared read-only: every grid point of a tune serves one schedule,
+    and forked pool children start with the parent's."""
+    from repro.serve.loadgen import generate_load
+
+    return tuple(generate_load(load, build_dataset(dataset)))
+
+
 def _count_draws(shared: int, sampled: int) -> None:
     """Per-run draw-sharing counters (one registry touch per computed run)."""
     from repro.obs.registry import default_registry
@@ -291,8 +302,6 @@ class Session:
         share the experiment cache's root: `repro cache stats/ls/prune`
         then manage them too (content addresses don't collide).
         """
-        from repro.serve.loadgen import generate_load
-
         store = spec._store_cls()(self.cache.root) if self.cache is not None else None
         if store is not None and use_cache:
             cached = store.load(spec.fingerprint)
@@ -300,7 +309,7 @@ class Session:
                 self.cache.hits += 1
                 return cached
             self.cache.misses += 1
-        requests = generate_load(spec.load, self.dataset(spec.dataset))
+        requests = load_schedule(spec.load, spec.dataset)
         trace_store, trace_key, trace = self._load_trace(spec, use_cache)
         server = spec._server(
             metrics=metrics, sinks=sinks, trace=trace, record_trace=trace_store is not None

@@ -28,7 +28,9 @@ Every envelope is plain JSON.  Result envelopes always carry the payload
 inline *and* the cache fingerprint it was stored under — readers prefer
 the shared store (free revisits) and fall back to the inline copy, so a
 coordinator and a worker never have to agree on cache topology for a run
-to complete.
+to complete.  Result payloads are the ``repro-experiment-full/2`` and
+sequence payloads of :mod:`repro.harness.io`, whose frame lists travel
+as base64'd little-endian columns.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.core.results import SequenceResult
 from repro.datasets.types import ObjectTrack, Sequence
 
 TASK_FORMAT = "repro-cluster-task/1"
-RESULT_FORMAT = "repro-cluster-result/1"
+RESULT_FORMAT = "repro-cluster-result/2"
 
 #: Task kinds understood by :func:`repro.cluster.worker.execute_task`.
 KIND_EXPERIMENT = "experiment"
@@ -262,7 +264,7 @@ class SequenceResultStore(EntryStore):
     root>/seq/`` so one shared directory serves both granularities.
     """
 
-    ENTRY_FORMAT = "repro-seqresult-cache/1"
+    ENTRY_FORMAT = "repro-seqresult-cache/2"
 
     def load(self, fingerprint: str) -> Optional[SequenceResult]:
         from repro.harness.io import sequence_result_from_dict

@@ -12,6 +12,17 @@ from repro.detections import Detections, DetectionsBuffer
 
 GIGA = 1e9
 
+#: A :class:`FrameResultBuffer`'s per-frame columns: dtype and row shape.
+_FRAME_COLUMNS = {
+    "frame": (np.int64, ()),
+    "num_regions": (np.int64, ()),
+    "coverage": (np.float64, ()),
+    "ops": (np.float64, (4,)),  # proposal, refinement, from_tracker, from_proposal
+    "timing": (np.float64, (3,)),  # gpu_seconds, cpu_seconds, num_launches
+    "has_timing": (bool, ()),
+    "has_track_ids": (bool, ()),
+}
+
 
 @dataclass
 class OpsAccount:
@@ -86,6 +97,19 @@ class FrameTiming:
         )
 
 
+def _mean_ops(frame_lists: List["SequenceABC[FrameResult]"]) -> "OpsAccount":
+    """Mean per-frame ops of every frame, read from the ops column and
+    folded left to right: the floats summing each frame's
+    :class:`OpsAccount` in order gives, with no per-frame objects."""
+    p = r = t = q = 0.0
+    n = 0
+    for frames in frame_lists:
+        for a, b, c, d in FrameResultBuffer.of(frames).to_columns()["ops"].tolist():
+            p, r, t, q, n = p + a, r + b, t + c, q + d, n + 1
+    total = OpsAccount(p, r, t, q)
+    return total.scaled(1.0 / n) if n else total
+
+
 def _mean_timing(frames: List["FrameResult"]) -> Optional[FrameTiming]:
     """Mean per-frame timing over frames that carry one (None if none do)."""
     timed = [f.timing for f in frames if f.timing is not None]
@@ -138,83 +162,124 @@ class FrameResultBuffer(SequenceABC):
 
     def __init__(self, capacity: int = 64):
         cap = max(capacity, 1)
-        self._frame = np.zeros(cap, dtype=np.int64)
-        self._num_regions = np.zeros(cap, dtype=np.int64)
-        self._coverage = np.zeros(cap)
-        self._ops = np.zeros((cap, 4))  # proposal, refinement, from_tracker, from_proposal
-        self._timing = np.zeros((cap, 3))  # gpu_seconds, cpu_seconds, num_launches
-        self._has_timing = np.zeros(cap, dtype=bool)
-        self._has_track_ids = np.zeros(cap, dtype=bool)
+        self._columns = {
+            name: np.zeros((cap, *shape), dtype) for name, (dtype, shape) in _FRAME_COLUMNS.items()
+        }
         self._detections = DetectionsBuffer(capacity_frames=cap)
         self._size = 0
 
     def append(self, result: FrameResult) -> None:
-        if self._size == self._frame.shape[0]:
-            cap = self._frame.shape[0] * 2
-            for name in ("_frame", "_num_regions", "_has_timing", "_has_track_ids"):
-                old = getattr(self, name)
-                grown = np.zeros(cap, dtype=old.dtype)
-                grown[: self._size] = old
-                setattr(self, name, grown)
-            grown = np.zeros(cap)
-            grown[: self._size] = self._coverage
-            self._coverage = grown
-            for name, width in (("_ops", 4), ("_timing", 3)):
-                old = getattr(self, name)
-                grown = np.zeros((cap, width))
-                grown[: self._size] = old
-                setattr(self, name, grown)
-        i = self._size
-        self._frame[i] = result.frame
-        self._num_regions[i] = result.num_regions
-        self._coverage[i] = result.coverage_fraction
-        ops = result.ops
-        self._ops[i] = (
-            ops.proposal,
-            ops.refinement,
-            ops.refinement_from_tracker,
-            ops.refinement_from_proposal,
+        columns, i = self._columns, self._size
+        if i == len(columns["frame"]):
+            for name, old in columns.items():
+                columns[name] = np.zeros((max(2 * i, 1), *old.shape[1:]), old.dtype)
+                columns[name][:i] = old
+        ops, timing = result.ops, result.timing
+        columns["frame"][i] = result.frame
+        columns["num_regions"][i] = result.num_regions
+        columns["coverage"][i] = result.coverage_fraction
+        columns["ops"][i] = (
+            ops.proposal, ops.refinement, ops.refinement_from_tracker, ops.refinement_from_proposal
         )
-        if result.timing is not None:
-            self._timing[i] = (
-                result.timing.gpu_seconds,
-                result.timing.cpu_seconds,
-                result.timing.num_launches,
-            )
-            self._has_timing[i] = True
-        self._has_track_ids[i] = result.track_ids is not None
+        if timing is not None:
+            columns["timing"][i] = (timing.gpu_seconds, timing.cpu_seconds, timing.num_launches)
+            columns["has_timing"][i] = True
+        columns["has_track_ids"][i] = result.track_ids is not None
         self._detections.append(result.detections, result.track_ids)
         self._size += 1
 
     def __len__(self) -> int:
         return self._size
 
+    @classmethod
+    def of(cls, frames: "SequenceABC[FrameResult]") -> "FrameResultBuffer":
+        """``frames`` as a buffer: itself when it already is one."""
+        if isinstance(frames, cls):
+            return frames
+        buf = cls(len(frames))
+        for frame in frames:
+            buf.append(frame)
+        return buf
+
+    def to_columns(self) -> Dict[str, np.ndarray]:
+        """Views of every stored column: the :data:`_FRAME_COLUMNS`, then
+        the detections' (:meth:`~repro.detections.DetectionsBuffer.to_columns`)."""
+        n = self._size
+        columns = {name: column[:n] for name, column in self._columns.items()}
+        return {**columns, **self._detections.to_columns()}
+
+    @classmethod
+    def from_columns(
+        cls, columns: Mapping[str, np.ndarray], *, check: bool = True
+    ) -> "FrameResultBuffer":
+        """A buffer over :meth:`to_columns`' arrays, without copying them,
+        whose frames are bit-identical to the ones that were stored.  With
+        ``check``, raises :class:`ValueError` when the columns' lengths
+        disagree.  Appending to a buffer over read-only arrays raises."""
+        n = len(columns["frame"])
+        buf = cls.__new__(cls)
+        buf._columns = {name: columns[name] for name in _FRAME_COLUMNS}
+        buf._detections = DetectionsBuffer.from_columns(columns, check=check)
+        buf._size = n
+        if check and (
+            len(buf._detections) != n
+            or any(buf._columns[name].shape != (n, *shape) for name, (_, shape) in _FRAME_COLUMNS.items())
+        ):
+            raise ValueError("inconsistent frame columns")
+        return buf
+
+    @classmethod
+    def concat(cls, lists: "SequenceABC[SequenceABC[FrameResult]]") -> "FrameResultBuffer":
+        """One buffer holding the frames of ``lists`` end to end."""
+        if len(lists) == 1:
+            return cls.of(lists[0])
+        parts = [cls.of(frames).to_columns() for frames in lists]
+        if not parts:
+            return cls()
+        columns = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+        starts = np.cumsum([0] + [part["offsets"][-1] for part in parts[:-1]])
+        columns["offsets"] = np.concatenate(
+            [[0]] + [part["offsets"][1:] + start for part, start in zip(parts, starts)]
+        )
+        return cls.from_columns(columns, check=False)
+
+    def split(self, counts: "SequenceABC[int]") -> List["FrameResultBuffer"]:
+        """Consecutive views of ``counts[i]`` frames each (the inverse of
+        :meth:`concat`); raises :class:`ValueError` unless the counts are
+        non-negative and add up to ``len(self)``."""
+        if sum(counts) != self._size or any(n < 0 for n in counts):
+            raise ValueError(f"frame counts {list(counts)} do not split {self._size} frames")
+        columns, out, lo = self.to_columns(), [], 0
+        for n in counts:
+            offsets = columns["offsets"][lo : lo + n + 1]
+            first, last = int(offsets[0]), int(offsets[-1])
+            part = {
+                name: column[lo : lo + n] if name in _FRAME_COLUMNS else column[first:last]
+                for name, column in columns.items()
+            }
+            part["offsets"] = offsets - first
+            out.append(type(self).from_columns(part, check=False))
+            lo += n
+        return out
+
     def frame_track_ids(self, index: int) -> np.ndarray:
         """Track ids of frame ``index`` (-1 where none was attached)."""
         return self._detections.frame_track_ids(index)
 
     def _materialize(self, i: int) -> FrameResult:
+        columns = self._columns
         timing = None
-        if self._has_timing[i]:
-            timing = FrameTiming(
-                gpu_seconds=float(self._timing[i, 0]),
-                cpu_seconds=float(self._timing[i, 1]),
-                num_launches=float(self._timing[i, 2]),
-            )
+        if columns["has_timing"][i]:
+            timing = FrameTiming(*columns["timing"][i].tolist())
         return FrameResult(
-            frame=int(self._frame[i]),
+            frame=int(columns["frame"][i]),
             detections=self._detections.frame(i),
-            ops=OpsAccount(
-                proposal=float(self._ops[i, 0]),
-                refinement=float(self._ops[i, 1]),
-                refinement_from_tracker=float(self._ops[i, 2]),
-                refinement_from_proposal=float(self._ops[i, 3]),
-            ),
-            num_regions=int(self._num_regions[i]),
-            coverage_fraction=float(self._coverage[i]),
+            ops=OpsAccount(*columns["ops"][i].tolist()),
+            num_regions=int(columns["num_regions"][i]),
+            coverage_fraction=float(columns["coverage"][i]),
             timing=timing,
             track_ids=(
-                self._detections.frame_track_ids(i) if self._has_track_ids[i] else None
+                self._detections.frame_track_ids(i) if columns["has_track_ids"][i] else None
             ),
         )
 
@@ -251,12 +316,7 @@ class SequenceResult:
 
     def mean_ops(self) -> OpsAccount:
         """Average per-frame operation account."""
-        if not self.frames:
-            return OpsAccount()
-        total = OpsAccount()
-        for f in self.frames:
-            total = total + f.ops
-        return total.scaled(1.0 / len(self.frames))
+        return _mean_ops([self.frames])
 
     def mean_timing(self) -> Optional[FrameTiming]:
         """Average per-frame device timing (None without a modeled device)."""
@@ -277,13 +337,7 @@ class SystemRunResult:
 
     def mean_ops(self) -> OpsAccount:
         """Per-frame operation account averaged over all frames of all sequences."""
-        total = OpsAccount()
-        n = 0
-        for seq in self.sequences.values():
-            for f in seq.frames:
-                total = total + f.ops
-                n += 1
-        return total.scaled(1.0 / n) if n else total
+        return _mean_ops([seq.frames for seq in self.sequences.values()])
 
     def mean_ops_gops(self) -> float:
         """Average per-frame total ops in Gops — the paper's headline column."""

@@ -8,7 +8,7 @@ simulated detectors, the tracker, the cascade systems and the metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,8 +133,7 @@ class DetectionsBuffer:
         cap = self._scores.shape[0]
         if needed <= cap:
             return
-        while cap < needed:
-            cap *= 2
+        cap = max(needed, 2 * cap)
         for name, blank in (
             ("_boxes", np.zeros((cap, 4))),
             ("_scores", np.zeros(cap)),
@@ -194,17 +193,40 @@ class DetectionsBuffer:
         lo, hi = self._bounds(index)
         return self._track_ids[lo:hi].copy()
 
-    @property
-    def boxes(self) -> np.ndarray:
-        """(R, 4) view of all frames' boxes, in append order."""
-        return self._boxes[: self._num_rows]
+    def to_columns(self) -> Dict[str, np.ndarray]:
+        """Views of the stored columns: ``offsets`` (F + 1 row bounds) and
+        the per-row ``boxes``, ``scores``, ``labels`` and ``track_ids``."""
+        rows = self._num_rows
+        return {
+            "offsets": self._offsets[: self._num_frames + 1],
+            "boxes": self._boxes[:rows],
+            "scores": self._scores[:rows],
+            "labels": self._labels[:rows],
+            "track_ids": self._track_ids[:rows],
+        }
 
-    @property
-    def scores(self) -> np.ndarray:
-        """(R,) view of all frames' scores, in append order."""
-        return self._scores[: self._num_rows]
-
-    @property
-    def labels(self) -> np.ndarray:
-        """(R,) view of all frames' labels, in append order."""
-        return self._labels[: self._num_rows]
+    @classmethod
+    def from_columns(
+        cls, columns: Mapping[str, np.ndarray], *, check: bool = True
+    ) -> "DetectionsBuffer":
+        """A buffer over :meth:`to_columns`' arrays, without copying them.
+        With ``check``, raises :class:`ValueError` when their lengths
+        disagree."""
+        offsets = columns["offsets"]
+        rows = len(columns["scores"])
+        if check and (
+            len(offsets) == 0
+            or offsets[0] != 0
+            or offsets[-1] != rows
+            or np.any(np.diff(offsets) < 0)
+            or columns["boxes"].shape != (rows, 4)
+            or not len(columns["labels"]) == len(columns["track_ids"]) == rows
+        ):
+            raise ValueError("inconsistent detection columns")
+        buf = cls.__new__(cls)
+        buf._boxes, buf._scores = columns["boxes"], columns["scores"]
+        buf._labels, buf._track_ids = columns["labels"], columns["track_ids"]
+        buf._offsets = offsets
+        buf._num_frames = len(offsets) - 1
+        buf._num_rows = rows
+        return buf

@@ -39,7 +39,7 @@ from repro.core.systems import DetectionSystem
 from repro.datasets.types import Sequence
 from repro.engine.stages import run_frame_batch
 from repro.fleet.autoscaler import SCALE_OUT, Autoscaler, Decision
-from repro.fleet.replica import Replica, ReplicaSet
+from repro.fleet.replica import Replica, ReplicaSet, fold_sum
 from repro.fleet.router import FleetRouter
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.obs.sinks import Sink, as_sinks
@@ -239,7 +239,7 @@ class ServingLoop:
             before = self._measured_invocations()
             frame_results = run_frame_batch(work, metrics=self.metrics)
             invocations = self._measured_invocations() - before
-        macs = sum(fr.ops.total for fr in frame_results)
+        macs = fold_sum([fr.ops.total for fr in frame_results])
         windows = []
         for state, fr in zip(states, frame_results):
             state.results.append(fr)

@@ -228,8 +228,17 @@ class ReplicaSet:
 
     def replica_seconds(self, makespan: float) -> float:
         """Total allocated capacity: the sum of every replica's lifetime."""
-        return sum(r.alive_seconds(makespan) for r in self.replicas)
+        return fold_sum([r.alive_seconds(makespan) for r in self.replicas])
 
     def cost(self, makespan: float) -> float:
         """Fleet allocation cost over the run."""
-        return sum(r.cost(makespan) for r in self.replicas)
+        return fold_sum([r.cost(makespan) for r in self.replicas])
+
+
+def fold_sum(values: List[float]) -> float:
+    """``values`` added left to right: builtin ``sum()`` compensates float
+    sums on Python 3.12+, so its last bits would depend on the version."""
+    total = 0
+    for value in values:
+        total += value
+    return total

@@ -1,44 +1,74 @@
-"""Experiment result serialization (JSON) for logging and post-hoc analysis.
+"""Experiment result serialization (JSON) for logging, caching and shipping.
 
 Two formats live here:
 
 * ``repro-experiment/1`` — the compact human-oriented summary written by
-  :func:`save_experiment` (mean ops, metrics; detections optional).
-* ``repro-experiment-full/1`` — the *lossless* round trip used by the
-  result cache (:mod:`repro.api.cache`): every frame's boxes, scores,
-  labels and op account plus the full evaluation state, such that
-  :func:`experiment_from_dict` rebuilds an
-  :class:`~repro.harness.experiment.ExperimentResult` bit-identical to
-  the original (floats survive exactly via JSON's shortest-repr round
-  trip, including ``-Infinity`` miss markers in delay records).
+  :func:`save_experiment` (mean ops, metrics; optionally every frame's
+  detections as plain JSON lists).
+* ``repro-experiment-full/2`` — the *lossless* round trip used by the
+  result cache (:mod:`repro.api.cache`) and the cluster envelopes
+  (:mod:`repro.cluster.protocol`): :func:`experiment_from_dict` rebuilds
+  an :class:`~repro.harness.experiment.ExperimentResult` bit-identical to
+  the original.
+
+The full format stores a run's frame lists as one table: the columns a
+:class:`~repro.core.results.FrameResultBuffer` holds in memory
+(:meth:`~repro.core.results.FrameResultBuffer.to_columns`), sequence
+after sequence, beside each sequence's frame count.  Every class
+evaluation's pooled scores, TP flags and track delay records are columns
+with offsets.  :func:`encode_columns` writes each column as its
+little-endian bytes, base64'd inside the JSON entry, so every float
+survives bit for bit (NaN scores and ``-inf`` miss markers included) and
+a load parses no numbers: :func:`decode_columns` hands back read-only
+arrays over the decoded bytes, and each loaded sequence is a
+``FrameResultBuffer`` view of them, with no per-frame objects built.  A
+column whose base64 is cut short, whose bytes do not fill whole rows, or
+whose length disagrees with its table raises :class:`ValueError`, which
+every store reads as a miss.  The compute-trace store
+(:mod:`repro.serve.trace`) uses the same codec.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import config_from_dict, config_to_dict
-from repro.core.results import (
-    FrameResult,
-    FrameTiming,
-    OpsAccount,
-    SequenceResult,
-    SystemRunResult,
-)
-from repro.detections import Detections
+from repro.core.results import FrameResult, FrameResultBuffer, OpsAccount, SequenceResult, SystemRunResult
 from repro.harness.experiment import ExperimentResult
 from repro.metrics.delay import TrackDelayRecord
 from repro.metrics.evaluate import ClassEvaluation, EvaluationResult
 
-FULL_FORMAT = "repro-experiment-full/1"
+FULL_FORMAT = "repro-experiment-full/2"
+
+#: Every stored column: its little-endian dtype and row width (0: scalars).
+#: A frame list's are :meth:`FrameResultBuffer.to_columns`; an evaluation
+#: adds ``tp`` and its track columns; a compute trace ``invocations`` and
+#: its streams' ``rows``.
+COLUMN_TYPES: Dict[str, Tuple[str, int]] = {
+    **dict.fromkeys(
+        ("frame", "num_regions", "offsets", "labels", "track_ids", "track_offsets",
+         "track_frames", "invocations", "rows"),
+        ("<i8", 0),
+    ),
+    **dict.fromkeys(("coverage", "scores", "matched_scores"), ("<f8", 0)),
+    **dict.fromkeys(("has_timing", "has_track_ids", "tp", "ever_cared"), ("|b1", 0)),
+    "ops": ("<f8", 4),
+    "timing": ("<f8", 3),
+    "boxes": ("<f8", 4),
+}
 
 __all__ = [
     "config_to_dict",
     "config_from_dict",
+    "encode_columns",
+    "decode_columns",
+    "frames_to_dict",
+    "frames_from_dict",
     "sequence_result_to_dict",
     "sequence_result_from_dict",
     "run_to_dict",
@@ -52,6 +82,43 @@ __all__ = [
 ]
 
 
+def encode_columns(columns: Mapping[str, Any]) -> Dict[str, str]:
+    """Each column's little-endian bytes, base64'd (its :data:`COLUMN_TYPES`)."""
+    return {
+        name: binascii.b2a_base64(
+            np.ascontiguousarray(column, dtype=COLUMN_TYPES[name][0]).tobytes(), newline=False
+        ).decode("ascii")
+        for name, column in columns.items()
+    }
+
+
+def decode_columns(data: Mapping[str, str]) -> Dict[str, np.ndarray]:
+    """Inverse of :func:`encode_columns`: read-only arrays over the bytes.
+
+    Raises :class:`ValueError` for a column whose base64 is cut short or
+    whose bytes do not fill whole rows (``KeyError`` for an unknown
+    column name).
+    """
+    out = {}
+    for name, text in data.items():
+        dtype, width = COLUMN_TYPES[name]
+        column = np.frombuffer(binascii.a2b_base64(text), dtype=dtype)
+        out[name] = column.reshape(-1, width) if width else column
+    return out
+
+
+def frames_to_dict(frame_lists: Sequence[Sequence[FrameResult]]) -> Dict[str, str]:
+    """Frame lists as one table: their :class:`FrameResultBuffer` columns
+    end to end (:meth:`FrameResultBuffer.concat`), encoded."""
+    return encode_columns(FrameResultBuffer.concat(frame_lists).to_columns())
+
+
+def frames_from_dict(data: Mapping[str, str], counts: Sequence[int]) -> List[FrameResultBuffer]:
+    """Inverse of :func:`frames_to_dict`, given each list's frame count:
+    read-only buffers over the decoded columns."""
+    return FrameResultBuffer.from_columns(decode_columns(data)).split(counts)
+
+
 def _ops_dict(ops: OpsAccount) -> Dict[str, float]:
     return {
         "proposal": ops.proposal,
@@ -61,16 +128,9 @@ def _ops_dict(ops: OpsAccount) -> Dict[str, float]:
     }
 
 
-def _ops_from_dict(data: Dict[str, float]) -> OpsAccount:
-    return OpsAccount(
-        proposal=data["proposal"],
-        refinement=data["refinement"],
-        refinement_from_tracker=data["refinement_from_tracker"],
-        refinement_from_proposal=data["refinement_from_proposal"],
-    )
-
-
-def _frame_dict(frame: FrameResult) -> Dict[str, Any]:
+def _frame_summary(frame: FrameResult) -> Dict[str, Any]:
+    """One frame of :func:`save_experiment`'s human-readable lists
+    (written only; the library never reads them back)."""
     out = {
         "frame": frame.frame,
         "boxes": frame.detections.boxes.tolist(),
@@ -81,41 +141,14 @@ def _frame_dict(frame: FrameResult) -> Dict[str, Any]:
         "coverage": frame.coverage_fraction,
     }
     if frame.track_ids is not None:
-        # Optional key: pre-query-layer payloads stay loadable.
         out["track_ids"] = np.asarray(frame.track_ids, dtype=np.int64).tolist()
     if frame.timing is not None:
-        # Optional key keeps pre-cost-layer payloads loadable while the
-        # cluster protocol ships timing losslessly between hosts.
         out["timing"] = {
             "gpu_seconds": frame.timing.gpu_seconds,
             "cpu_seconds": frame.timing.cpu_seconds,
             "num_launches": frame.timing.num_launches,
         }
     return out
-
-
-def _frame_from_dict(data: Dict[str, Any]) -> FrameResult:
-    timing = data.get("timing")
-    track_ids = data.get("track_ids")
-    return FrameResult(
-        track_ids=(
-            None if track_ids is None else np.asarray(track_ids, dtype=np.int64)
-        ),
-        frame=data["frame"],
-        detections=Detections(
-            boxes=np.asarray(data["boxes"], dtype=np.float64).reshape(-1, 4),
-            scores=np.asarray(data["scores"], dtype=np.float64),
-            labels=np.asarray(data["labels"], dtype=np.int64),
-        ),
-        ops=_ops_from_dict(data["ops"]),
-        num_regions=data["num_regions"],
-        coverage_fraction=data["coverage"],
-        timing=None if timing is None else FrameTiming(
-            gpu_seconds=timing["gpu_seconds"],
-            cpu_seconds=timing["cpu_seconds"],
-            num_launches=timing["num_launches"],
-        ),
-    )
 
 
 def sequence_result_to_dict(seq: SequenceResult) -> Dict[str, Any]:
@@ -126,20 +159,21 @@ def sequence_result_to_dict(seq: SequenceResult) -> Dict[str, Any]:
     """
     return {
         "sequence_name": seq.sequence_name,
-        "frames": [_frame_dict(frame) for frame in seq.frames],
+        "num_frames": seq.num_frames,
+        "frames": frames_to_dict([seq.frames]),
     }
 
 
 def sequence_result_from_dict(data: Dict[str, Any]) -> SequenceResult:
     """Inverse of :func:`sequence_result_to_dict` (bit-identical)."""
-    return SequenceResult(
-        sequence_name=data["sequence_name"],
-        frames=[_frame_from_dict(f) for f in data["frames"]],
-    )
+    (frames,) = frames_from_dict(data["frames"], [data["num_frames"]])
+    return SequenceResult(sequence_name=data["sequence_name"], frames=frames)
 
 
 def run_to_dict(run: SystemRunResult, *, include_detections: bool = True) -> Dict:
-    """Serialize a :class:`SystemRunResult`; lossless when detections kept."""
+    """Serialize a :class:`SystemRunResult`: its summary, plus every
+    sequence's frames as one table of encoded columns (in sequence order)
+    when ``include_detections`` (then lossless)."""
     ops = run.mean_ops()
     out: Dict = {
         "system_name": run.system_name,
@@ -158,72 +192,81 @@ def run_to_dict(run: SystemRunResult, *, include_detections: bool = True) -> Dic
             "num_launches": mean_timing.num_launches,
         }
     for name, seq in run.sequences.items():
-        entry: Dict = {"num_frames": seq.num_frames}
-        if include_detections:
-            entry["frames"] = [_frame_dict(frame) for frame in seq.frames]
-        out["sequences"][name] = entry
+        out["sequences"][name] = {"num_frames": seq.num_frames}
+    if include_detections:
+        out["frames"] = frames_to_dict([seq.frames for seq in run.sequences.values()])
     return out
 
 
 def run_from_dict(data: Dict) -> SystemRunResult:
     """Inverse of :func:`run_to_dict` (requires stored detections)."""
-    run = SystemRunResult(system_name=data["system_name"])
-    for name, entry in data["sequences"].items():
-        if "frames" not in entry:
-            raise ValueError(
-                f"sequence {name!r} was saved without detections; "
-                "a full round trip needs include_detections=True"
-            )
-        run.sequences[name] = SequenceResult(
-            sequence_name=name,
-            frames=[_frame_from_dict(f) for f in entry["frames"]],
+    if "frames" not in data:
+        raise ValueError(
+            "the run was saved without detections; "
+            "a full round trip needs include_detections=True"
         )
-    return run
+    counts = [entry["num_frames"] for entry in data["sequences"].values()]
+    buffers = frames_from_dict(data["frames"], counts)
+    return SystemRunResult(
+        system_name=data["system_name"],
+        sequences={
+            name: SequenceResult(name, frames)
+            for name, frames in zip(data["sequences"], buffers)
+        },
+    )
 
 
 def evaluation_to_dict(evaluation: EvaluationResult) -> Dict:
-    """Serialize an :class:`EvaluationResult` losslessly."""
-    return {
-        "difficulty": evaluation.difficulty,
-        "per_class": [
-            {
-                "label": ce.label,
-                "name": ce.name,
-                "scores": ce.scores.tolist(),
-                "tp": ce.tp.astype(int).tolist(),
-                "num_gt": ce.num_gt,
-                "tracks": [
-                    {
-                        "frames": list(t.frames),
-                        "matched_scores": list(t.matched_scores),
-                        "ever_cared": t.ever_cared,
-                    }
-                    for t in ce.tracks
-                ],
-            }
-            for ce in evaluation.per_class
-        ],
-    }
+    """Serialize an :class:`EvaluationResult` losslessly: per class, its
+    pooled scores and TP flags plus its track delay records as columns
+    with offsets."""
+    per_class = []
+    for ce in evaluation.per_class:
+        tracks = ce.tracks
+        columns = {
+            "scores": ce.scores,
+            "tp": ce.tp,
+            "track_offsets": np.cumsum([0] + [len(t.frames) for t in tracks]),
+            "track_frames": [f for t in tracks for f in t.frames],
+            "matched_scores": [s for t in tracks for s in t.matched_scores],
+            "ever_cared": [t.ever_cared for t in tracks],
+        }
+        per_class.append(
+            {"label": ce.label, "name": ce.name, "num_gt": ce.num_gt,
+             "columns": encode_columns(columns)}
+        )
+    return {"difficulty": evaluation.difficulty, "per_class": per_class}
 
 
 def evaluation_from_dict(data: Dict) -> EvaluationResult:
     """Inverse of :func:`evaluation_to_dict`."""
     per_class: List[ClassEvaluation] = []
     for entry in data["per_class"]:
+        columns = decode_columns(entry["columns"])
+        offsets = columns["track_offsets"].tolist()
+        frames = columns["track_frames"].tolist()
+        scores = columns["matched_scores"].tolist()
+        cared = columns["ever_cared"].tolist()
+        bounds = list(zip(offsets, offsets[1:]))
+        if (
+            len(columns["scores"]) != len(columns["tp"])
+            or len(offsets) != len(cared) + 1
+            or offsets[0] != 0
+            or offsets[-1] != len(frames)
+            or len(scores) != len(frames)
+            or any(lo > hi for lo, hi in bounds)
+        ):
+            raise ValueError("inconsistent evaluation columns")
         per_class.append(
             ClassEvaluation(
                 label=entry["label"],
                 name=entry["name"],
-                scores=np.asarray(entry["scores"], dtype=np.float64),
-                tp=np.asarray(entry["tp"], dtype=bool),
+                scores=columns["scores"],
+                tp=columns["tp"],
                 num_gt=entry["num_gt"],
                 tracks=[
-                    TrackDelayRecord(
-                        frames=list(t["frames"]),
-                        matched_scores=[float(s) for s in t["matched_scores"]],
-                        ever_cared=t["ever_cared"],
-                    )
-                    for t in entry["tracks"]
+                    TrackDelayRecord(frames[lo:hi], scores[lo:hi], ever_cared)
+                    for (lo, hi), ever_cared in zip(bounds, cared)
                 ],
             )
         )
@@ -231,7 +274,7 @@ def evaluation_from_dict(data: Dict) -> EvaluationResult:
 
 
 def experiment_to_dict(result: ExperimentResult) -> Dict:
-    """Lossless ``repro-experiment-full/1`` payload for the result cache."""
+    """Lossless ``repro-experiment-full/2`` payload for the result cache."""
     return {
         "format": FULL_FORMAT,
         "config": config_to_dict(result.config),
@@ -281,11 +324,15 @@ def save_experiment(
     beta:
         Precision level for the recorded delay metric.
     """
+    run = run_to_dict(result.run, include_detections=False)
+    if include_detections:
+        for name, seq in result.run.sequences.items():
+            run["sequences"][name]["frames"] = [_frame_summary(f) for f in seq.frames]
     payload: Dict = {
         "format": "repro-experiment/1",
         "config": config_to_dict(result.config),
         "label": result.label,
-        "run": run_to_dict(result.run, include_detections=include_detections),
+        "run": run,
         "metrics": {},
     }
     for name, evaluation in result.evaluations.items():

@@ -18,8 +18,12 @@ writes, corrupt-entry-is-a-miss), keyed by
 :func:`trace_fingerprint` — a digest of the system/dataset/load
 sections *only*, so every policy/service/query/replica variation of one
 deployment shares a single trace, and serve and fleet runs share it
-too.  A process decodes a stored trace once while its bytes stay the
-same (:class:`TraceStore` holds the last one it decoded, read-only).
+too.  An entry stores each distinct :class:`FrameRecord` (by identity:
+streams in step share their lane's records) once, as columns of
+:func:`repro.harness.io.encode_columns`, and each stream its sequence
+and record rows; an older-format entry is a miss.  A process decodes a
+stored trace once while its bytes stay the same, and never decodes one
+it stored (:class:`TraceStore` holds that one trace, read-only).
 
 :class:`TraceRunner` + :func:`traced_execute` implement the replay fast
 path of the one serving event loop (:class:`~repro.fleet.loop.
@@ -53,11 +57,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.api.cache import EntryStore
 from repro.api.spec import content_digest
 from repro.core.config import config_from_dict, config_to_dict
-from repro.core.results import FrameResult
+from repro.core.results import FrameResult, FrameResultBuffer
 from repro.engine.stages import run_frame_batch
-from repro.harness.io import _frame_dict, _frame_from_dict
+from repro.harness.io import decode_columns, encode_columns
 
-TRACE_FORMAT = "repro-compute-trace/1"
+TRACE_FORMAT = "repro-compute-trace/2"
 
 
 def trace_fingerprint(spec: Any) -> str:
@@ -97,25 +101,6 @@ class FrameRecord:
         self.result = result
         self.invocations = invocations
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "invocations": self.invocations,
-            "result": _frame_dict(self.result),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FrameRecord":
-        result = _frame_from_dict(data["result"])
-        det = result.detections
-        for array in (det.boxes, det.scores, det.labels, result.track_ids):
-            if array is not None:
-                array.flags.writeable = False
-        return cls(
-            frame=result.frame,
-            result=result,
-            invocations=int(data["invocations"]),
-        )
-
 
 class StreamTrace:
     """One stream's recorded admitted-frame prefix."""
@@ -125,19 +110,6 @@ class StreamTrace:
     def __init__(self, sequence: str, records: List[FrameRecord]):
         self.sequence = sequence
         self.records = records
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "sequence": self.sequence,
-            "records": [rec.to_dict() for rec in self.records],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "StreamTrace":
-        return cls(
-            sequence=data["sequence"],
-            records=[FrameRecord.from_dict(r) for r in data["records"]],
-        )
 
 
 class ComputeTrace:
@@ -153,28 +125,60 @@ class ComputeTrace:
         return sum(len(st.records) for st in self.streams.values())
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "format": TRACE_FORMAT,
-            "streams": {
-                name: st.to_dict() for name, st in sorted(self.streams.items())
-            },
-        }
+        """Each distinct record once, as ``records`` columns, and per
+        stream its ``sequence`` and the ``rows`` of its records."""
+        rows: Dict[int, int] = {}  # id(record) -> its row in the table
+        table, invocations, streams = FrameResultBuffer(), [], {}
+        for name, st in sorted(self.streams.items()):
+            index = []
+            for rec in st.records:
+                row = rows.get(id(rec))
+                if row is None:
+                    row = rows[id(rec)] = len(invocations)
+                    table.append(rec.result)
+                    invocations.append(rec.invocations)
+                index.append(row)
+            streams[name] = {"sequence": st.sequence, **encode_columns({"rows": index})}
+        records = encode_columns({**table.to_columns(), "invocations": invocations})
+        return {"format": TRACE_FORMAT, "records": records, "streams": streams}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ComputeTrace":
+        """Inverse of :meth:`to_dict`: streams share their records' one
+        read-only :class:`FrameRecord` each."""
         if data.get("format") != TRACE_FORMAT:
             raise ValueError(
                 f"not a {TRACE_FORMAT} payload: {data.get('format')!r}"
             )
-        return cls(
-            {
-                name: StreamTrace.from_dict(st)
-                for name, st in data["streams"].items()
-            }
-        )
+        columns = decode_columns(data["records"])
+        invocations = columns.pop("invocations").tolist()
+        table = FrameResultBuffer.from_columns(columns)
+        if len(invocations) != len(table):
+            raise ValueError("inconsistent trace record columns")
+        records = [
+            FrameRecord(result.frame, _freeze(result), count)
+            for result, count in zip(table, invocations)
+        ]
+        streams = {}
+        for name, st in data["streams"].items():
+            index = decode_columns({"rows": st["rows"]})["rows"].tolist()
+            if index and not 0 <= min(index) <= max(index) < len(records):
+                raise ValueError(f"stream {name!r} names a record the trace lacks")
+            streams[name] = StreamTrace(st["sequence"], [records[i] for i in index])
+        return cls(streams)
 
 
-#: The last trace this process decoded: ``(fingerprint, entry bytes, trace)``.
+def _freeze(result: FrameResult) -> FrameResult:
+    """Make ``result``'s arrays read-only (a held trace's runs share them)."""
+    det = result.detections
+    for array in (det.boxes, det.scores, det.labels, result.track_ids):
+        if array is not None:
+            array.flags.writeable = False
+    return result
+
+
+#: The last trace this process decoded or stored:
+#: ``(fingerprint, entry bytes, trace)``.
 _held: Optional[Tuple[str, bytes, ComputeTrace]] = None
 
 
@@ -191,14 +195,16 @@ class TraceStore(EntryStore):
     ``load`` decodes an entry only when its fingerprint or bytes differ
     from the one ``(fingerprint, bytes, trace)`` entry this process
     holds (a sweep replays one trace), so an overwritten, corrupt or
-    deleted entry is never served from it.  Runs share the held trace,
-    hence its read-only arrays.  The entry is module-level because a
-    parallel sweep runs each point in a fresh ``Session`` in a pool
-    child (:func:`repro.serve.tune._evaluate_point`); forked children
-    start with the parent's.
+    deleted entry is never served from it.  ``store`` leaves the trace
+    it wrote held under the bytes it wrote, so the process that recorded
+    a trace never decodes it.  Runs share the held trace, hence its
+    read-only arrays.  The entry is module-level because a parallel
+    sweep runs each point in a fresh ``Session`` in a pool child
+    (:func:`repro.serve.tune._evaluate_point`); forked children start
+    with the parent's.
     """
 
-    ENTRY_FORMAT = "repro-trace-cache/1"
+    ENTRY_FORMAT = "repro-trace-cache/2"
 
     def load(self, fingerprint: str) -> Optional[ComputeTrace]:
         global _held
@@ -212,16 +218,24 @@ class TraceStore(EntryStore):
         return trace
 
     def store(self, fingerprint: str, trace: ComputeTrace, *, spec=None) -> Path:
-        """Write ``trace`` beside the :func:`trace_sections` of ``spec``."""
+        """Write ``trace`` beside the :func:`trace_sections` of ``spec``,
+        then hold it (its arrays made read-only) under the written bytes."""
+        global _held
         sections = None if spec is None else trace_sections(spec)
-        return self._write_entry(fingerprint, spec=sections, trace=trace.to_dict())
+        raw = self._dumps(self._entry(fingerprint, spec=sections, trace=trace.to_dict()))
+        path = self._write_bytes(fingerprint, raw)
+        for st in trace.streams.values():
+            for rec in st.records:
+                _freeze(rec.result)
+        _held = (fingerprint, raw, trace)
+        return path
 
     @classmethod
     def _label(cls, payload: Dict[str, Any]) -> str:
         streams = payload["trace"]["streams"].values()
-        frames = sum(len(stream["records"]) for stream in streams)
+        frames = sum(len(decode_columns({"rows": st["rows"]})["rows"]) for st in streams)
         spec, name = payload.get("spec"), ""
-        if spec is not None:  # entries written before traces kept their key
+        if spec is not None:  # entries written without the key sections
             name = (
                 f"{config_from_dict(spec['system']).label} @ {spec['dataset']['family']} "
                 f"x{spec['load']['num_streams']} {spec['load']['pattern']}, "

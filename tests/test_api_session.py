@@ -12,7 +12,7 @@ import pytest
 
 import repro.core.pipeline as pipeline_mod
 from repro.api.cache import EntryStore, ResultCache, fingerprint_dataset
-from repro.api.session import Session, build_dataset
+from repro.api.session import Session, build_dataset, load_schedule
 from repro.api.spec import DatasetSpec, EvalSpec, ExecSpec, ExperimentSpec
 from repro.core.config import SystemConfig
 from repro.harness.experiment import run_experiment, standard_kitti
@@ -136,6 +136,121 @@ class TestSessionCache:
         parallel = session.run(parallel_spec)
         assert session.cache_hits == 1
         _assert_bit_identical(serial, parallel)
+
+
+class TestColumnarCodec:
+    """Result-cache entries store frame lists and evaluations as columns."""
+
+    @staticmethod
+    def _edge_result(frames):
+        from repro.core.results import SequenceResult, SystemRunResult
+        from repro.harness.experiment import ExperimentResult
+        from repro.metrics.delay import TrackDelayRecord
+        from repro.metrics.evaluate import ClassEvaluation, EvaluationResult
+
+        run = SystemRunResult("edge", {
+            "a": SequenceResult("a", frames),
+            "empty": SequenceResult("empty", []),
+        })
+        tracks = [
+            TrackDelayRecord([3, 4, 5], [-np.inf, 0.25, np.nan], True),
+            TrackDelayRecord([], [], False),
+            TrackDelayRecord([7], [-np.inf], False),
+        ]
+        per_class = [
+            ClassEvaluation(0, "Car", np.array([0.9, np.nan, -0.0]),
+                            np.array([True, False, True]), 4, tracks),
+            ClassEvaluation(1, "Pedestrian", np.zeros(0), np.zeros(0, dtype=bool), 0, []),
+        ]
+        return ExperimentResult(
+            config=SystemConfig("catdet", "resnet50", "resnet10a"),
+            run=run,
+            evaluations={"hard": EvaluationResult("hard", per_class)},
+        )
+
+    def test_round_trip_is_byte_exact(self, edge_frames, frame_bytes):
+        from repro.harness.io import experiment_from_dict, experiment_to_dict
+
+        result = self._edge_result(edge_frames)
+        text = json.dumps(experiment_to_dict(result), allow_nan=True)
+        loaded = experiment_from_dict(json.loads(text))
+        for name, seq in result.run.sequences.items():
+            assert frame_bytes(loaded.run.sequences[name].frames) == frame_bytes(seq.frames)
+        assert loaded.run.mean_ops() == result.run.mean_ops()
+        assert loaded.run.mean_timing() == result.run.mean_timing()
+        for a, b in zip(result.evaluations["hard"].per_class,
+                        loaded.evaluations["hard"].per_class):
+            assert (a.label, a.name, a.num_gt) == (b.label, b.name, b.num_gt)
+            assert a.scores.tobytes() == b.scores.tobytes()
+            assert a.tp.tobytes() == b.tp.tobytes()
+            assert [
+                (t.frames, np.array(t.matched_scores).tobytes(), t.ever_cared)
+                for t in a.tracks
+            ] == [
+                (t.frames, np.array(t.matched_scores).tobytes(), t.ever_cared)
+                for t in b.tracks
+            ]
+
+    def test_a_hit_builds_no_per_frame_objects(self, tmp_path):
+        from repro.core.results import FrameResultBuffer
+
+        spec = _spec()
+        Session(cache_dir=tmp_path).run(spec)
+        hit = Session(cache_dir=tmp_path).run(spec)
+        for seq in hit.run.sequences.values():
+            assert isinstance(seq.frames, FrameResultBuffer)
+
+    @pytest.mark.parametrize("damage", ["truncated base64", "wrong length", "v1 entry"])
+    def test_damaged_entry_is_a_miss_and_rewritten(self, tmp_path, damage):
+        import base64
+
+        spec = _spec()
+        Session(cache_dir=tmp_path).run(spec)
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(spec.fingerprint)
+        good = path.read_bytes()
+        payload = json.loads(good)
+        frames = payload["result"]["run"]["frames"]
+        if damage == "truncated base64":
+            frames["boxes"] = frames["boxes"][:-2]
+        elif damage == "wrong length":  # valid base64, one frame short
+            short = base64.b64decode(frames["frame"])[:-8]
+            frames["frame"] = base64.b64encode(short).decode("ascii")
+        else:  # an entry of the previous layout version
+            payload["format"] = "repro-result-cache/1"
+            payload["result"]["format"] = "repro-experiment-full/1"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert cache.load(spec.fingerprint) is None
+        session = Session(cache_dir=tmp_path)
+        session.run(spec)
+        assert session.cache_misses == 1
+        assert path.read_bytes() == good
+
+
+class TestLoadSchedule:
+    def test_one_generation_per_tune(self, tmp_path, monkeypatch):
+        from repro.api.spec import ServeSpec
+        from repro.serve import LoadSpec, ServePolicy
+        from repro.serve import loadgen
+
+        spec = ServeSpec(
+            system=SystemConfig("catdet", "resnet50", "resnet10a", detailed_ops=False),
+            dataset=DatasetSpec("kitti", num_sequences=2, frames_per_sequence=8),
+            load=LoadSpec(pattern="uniform", num_streams=3, rate_hz=10.0, frames_per_stream=8),
+            policy=ServePolicy(),
+        )
+        real, calls = loadgen.generate_load, []
+        monkeypatch.setattr(
+            loadgen, "generate_load", lambda *args: calls.append(1) or real(*args)
+        )
+        load_schedule.cache_clear()
+        Session(cache_dir=tmp_path).tune_serve(
+            spec, slo_p99_ms=1000.0, batch_sizes=(1, 2), max_waits_ms=(0.0, 25.0), workers=1
+        )
+        assert len(calls) == 1
+        schedule = load_schedule(spec.load, spec.dataset)
+        assert isinstance(schedule, tuple)
+        assert list(schedule) == real(spec.load, build_dataset(spec.dataset))
 
 
 class TestRunMany:

@@ -66,15 +66,12 @@ class TestDetectionsBuffer:
         buf = DetectionsBuffer()
         for d in frames:
             buf.append(d)
-        np.testing.assert_array_equal(
-            buf.boxes, np.concatenate([d.boxes for d in frames])
-        )
-        np.testing.assert_array_equal(
-            buf.scores, np.concatenate([d.scores for d in frames])
-        )
-        np.testing.assert_array_equal(
-            buf.labels, np.concatenate([d.labels for d in frames])
-        )
+        columns = buf.to_columns()
+        for name in ("boxes", "scores", "labels"):
+            np.testing.assert_array_equal(
+                columns[name], np.concatenate([getattr(d, name) for d in frames])
+            )
+        np.testing.assert_array_equal(columns["offsets"], [0, 3, 3, 7])
 
 
 def _frame_result(rng, frame, timed):
@@ -144,3 +141,29 @@ class TestFrameResultBuffer:
         a, b = buf[1], buf[1]
         a.ops.proposal = -1.0
         assert b.ops.proposal != -1.0
+
+    def test_concat_then_split_restores_each_list(self, edge_frames, frame_bytes):
+        originals, _ = self._filled(n=7)
+        lists = [edge_frames, [], originals, edge_frames[:1]]
+        table = FrameResultBuffer.concat(lists)
+        assert len(table) == sum(len(frames) for frames in lists)
+        parts = table.split([len(frames) for frames in lists])
+        assert [frame_bytes(part) for part in parts] == [frame_bytes(f) for f in lists]
+        for part, frames in zip(parts, lists):
+            again = FrameResultBuffer.of(frames).to_columns()
+            assert all(
+                part.to_columns()[name].tobytes() == column.tobytes()
+                for name, column in again.items()
+            )
+        with pytest.raises(ValueError):
+            table.split([1, 2])
+
+    def test_inconsistent_columns_are_rejected(self):
+        _, buf = self._filled(n=5)
+        columns = buf.to_columns()
+        for name, cut in (("frame", 4), ("ops", 3), ("scores", 1), ("offsets", 5)):
+            broken = {**columns, name: columns[name][:cut]}
+            with pytest.raises(ValueError):
+                FrameResultBuffer.from_columns(broken)
+        rebuilt = FrameResultBuffer.from_columns(columns)
+        assert [r.frame for r in rebuilt] == [r.frame for r in buf]

@@ -20,6 +20,7 @@ Re-record the fixture only for a deliberate output change::
     PYTHONPATH=src python tests/test_serving_instruments.py
 """
 
+import builtins
 import hashlib
 import json
 import random
@@ -33,6 +34,8 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.datasets.kitti import kitti_like_dataset
 from repro.fleet import AutoscalerPolicy, FleetServer, FleetSpec
+from repro.fleet import loop as loop_mod
+from repro.fleet import replica as replica_mod
 from repro.fleet.replica import ACTIVE, DRAINING, RETIRED, ReplicaSet
 from repro.obs import JsonlSink, MetricsRegistry
 from repro.obs.registry import Histogram
@@ -48,11 +51,7 @@ QUERY = QuerySpec("persist", Eventually(TrackPersisted(3)))
 LOAD = LoadSpec(
     pattern="poisson", num_streams=4, rate_hz=30.0, frames_per_stream=16, seed=5
 )
-#: A 4-deep queue that the load overflows: every run below sheds.  Batches
-#: of at most two frames and fleets of at most two replicas keep every
-#: builtin ``sum()`` over floats (batch MACs, fleet cost) at two terms,
-#: where Python 3.12's compensated sum equals the plain one, so the
-#: fixture holds on every supported Python.
+#: A 4-deep queue that the load overflows: every run below sheds.
 SHEDDING = ServePolicy(max_batch_size=2, max_wait_ms=10.0, queue_capacity=4, slo_ms=500.0)
 LOOSE = ServePolicy(max_batch_size=2, max_wait_ms=10.0, queue_capacity=64, slo_ms=500.0)
 
@@ -195,6 +194,47 @@ class TestPinnedInstruments:
     @pytest.mark.parametrize("key", ["latency_stats_exact", "latency_stats_overflowed"])
     def test_latency_stats_are_byte_identical(self, outputs, pinned, key):
         assert _canonical(outputs[key]) == _canonical(pinned[key])
+
+
+def _compensated_sum(iterable, start=0):
+    """Python 3.12's builtin ``sum``: exact over ints, Neumaier-compensated
+    over floats."""
+    values = list(iterable)
+    if all(isinstance(v, int) for v in values):
+        return builtins.sum(values, start)
+    total, compensation = float(start), 0.0
+    for value in map(float, values):
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation
+
+
+class TestReportsDoNotDependOnThePythonVersion:
+    """Batch MACs and fleet cost add floats left to right, so a
+    compensated builtin ``sum`` (Python 3.12+) changes no report."""
+
+    POLICY = ServePolicy(max_batch_size=8, max_wait_ms=60.0, queue_capacity=64, slo_ms=500.0)
+
+    def _reports(self):
+        requests = _requests()
+        bare = DetectionServer(CATDET, policy=self.POLICY, device="datacenter").run(requests)
+        spec = FleetSpec(
+            system=CATDET, load=LOAD, policy=self.POLICY, replicas=3,
+            devices=("edge", "datacenter", "edge"),
+        )
+        fleet = FleetServer(spec).run(requests)
+        assert bare.mean_batch_size > 2 and len(fleet.replicas) > 2
+        return _canonical([bare.to_dict(), fleet.to_dict()])
+
+    def test_a_compensated_sum_changes_no_report(self, monkeypatch):
+        plain = self._reports()
+        for module in (loop_mod, replica_mod):
+            monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+        assert self._reports() == plain
 
 
 def _per_sample_histograms(samples):

@@ -9,7 +9,10 @@ fingerprints cover only the compute-determining sections, entries
 round-trip losslessly, and corruption is a miss, never an error.
 """
 
+import base64
+import dataclasses
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -31,8 +34,11 @@ from repro.serve import (
     ServiceModel,
     generate_load,
 )
+from repro.harness.io import decode_columns
 from repro.serve.trace import (
     ComputeTrace,
+    FrameRecord,
+    StreamTrace,
     TraceStore,
     trace_fingerprint,
 )
@@ -379,6 +385,16 @@ def test_random_admitted_subsets_record_identically_over_lanes(data):
     _assert_reports_identical(live, traced)
 
 
+#: A small traced deployment: four streams over two sequences.
+_TUNE_SPEC = ServeSpec(
+    system=CATDET,
+    dataset=DatasetSpec("kitti", num_sequences=2, frames_per_sequence=12),
+    load=LoadSpec(pattern="uniform", num_streams=4, rate_hz=10.0, frames_per_stream=12),
+    policy=ServePolicy(),
+    service=SERVICE,
+)
+
+
 class TestTraceStore:
     @pytest.fixture(autouse=True)
     def _empty_memo(self, monkeypatch):
@@ -468,15 +484,7 @@ class TestTraceStore:
                 array[...] = 0
 
     def test_cold_tune_decodes_the_trace_once(self, tmp_path, monkeypatch):
-        spec = ServeSpec(
-            system=CATDET,
-            dataset=DatasetSpec("kitti", num_sequences=2, frames_per_sequence=12),
-            load=LoadSpec(
-                pattern="uniform", num_streams=4, rate_hz=10.0, frames_per_stream=12
-            ),
-            policy=ServePolicy(),
-            service=SERVICE,
-        )
+        spec = _TUNE_SPEC
         decodes = []
         decode = ComputeTrace.from_dict.__func__
         monkeypatch.setattr(
@@ -498,8 +506,171 @@ class TestTraceStore:
         session = Session(cache_dir=tmp_path)
         cold = tune(session)
         assert session.trace_hits >= 2  # later points replayed the trace
-        assert len(decodes) <= 1
+        assert not decodes  # the process that stored the trace holds it
         assert cold == tune(Session(), use_cache=False)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="pool children inherit the held trace by fork",
+    )
+    def test_cold_parallel_tune_never_decodes_the_stored_trace(
+        self, tmp_path, monkeypatch
+    ):
+        """After the first point stores the trace, neither the parent nor
+        a pool child decodes it (decodes are logged to a file, which the
+        forked children append to as well)."""
+        log = tmp_path / "decodes.log"
+        decode = ComputeTrace.from_dict.__func__
+
+        def counting(cls, data):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write("decode\n")
+            return decode(cls, data)
+
+        monkeypatch.setattr(ComputeTrace, "from_dict", classmethod(counting))
+        session = Session(cache_dir=tmp_path / "cache")
+        result = session.tune_serve(
+            _TUNE_SPEC, slo_p99_ms=1000.0, batch_sizes=(1, 2, 4),
+            max_waits_ms=(0.0, 25.0), workers=2,
+        )
+        assert session.trace_hits >= 2  # pool points replayed the trace
+        assert not log.exists()
+        serial = Session().tune_serve(
+            _TUNE_SPEC, slo_p99_ms=1000.0, batch_sizes=(1, 2, 4),
+            max_waits_ms=(0.0, 25.0), use_cache=False,
+        )
+        assert [c.report.to_dict() for c in result.candidates] == [
+            c.report.to_dict() for c in serial.candidates
+        ]
+
+
+#: A v1 (per-frame JSON record) trace entry, as earlier versions wrote it.
+_V1_ENTRY = {
+    "format": "repro-trace-cache/1",
+    "spec": None,
+    "trace": {
+        "format": "repro-compute-trace/1",
+        "streams": {
+            "s0:0000": {
+                "sequence": "0000",
+                "records": [
+                    {
+                        "invocations": 2,
+                        "result": {
+                            "frame": 0, "boxes": [[1.0, 2.0, 30.0, 40.0]],
+                            "scores": [0.5], "labels": [0],
+                            "ops": {"proposal": 1.0, "refinement": 2.0,
+                                    "refinement_from_tracker": 0.0,
+                                    "refinement_from_proposal": 2.0},
+                            "num_regions": 1, "coverage": 0.25,
+                        },
+                    }
+                ],
+            }
+        },
+    },
+}
+
+
+class TestTraceCodec:
+    """The v2 entry layout: every distinct record once, as columns."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self, monkeypatch):
+        monkeypatch.setattr(trace_mod, "_held", None)
+
+    @staticmethod
+    def _edge_trace(frames):
+        """Streams ``s0``/``s1`` share records (``s1`` a prefix), ``s2``
+        holds records of its own over the same results, ``s3`` none."""
+        shared = [FrameRecord(f.frame, f, 2 + i) for i, f in enumerate(frames)]
+        own = [FrameRecord(f.frame, f, 1) for f in frames[:2]]
+        return ComputeTrace({
+            "s0:a": StreamTrace("a", shared),
+            "s1:a": StreamTrace("a", shared[:3]),
+            "s2:b": StreamTrace("b", own),
+            "s3:b": StreamTrace("b", []),
+        })
+
+    def test_round_trip_is_byte_exact(self, edge_frames, frame_bytes):
+        trace = self._edge_trace(edge_frames)
+        payload = json.loads(json.dumps(trace.to_dict(), allow_nan=True))
+        table = decode_columns(payload["records"])
+        assert len(table["frame"]) == len(edge_frames) + 2  # distinct records
+        loaded = ComputeTrace.from_dict(payload)
+        assert set(loaded.streams) == set(trace.streams)
+        for name, stream in trace.streams.items():
+            got = loaded.streams[name]
+            assert got.sequence == stream.sequence
+            assert [(r.frame, r.invocations) for r in got.records] == [
+                (r.frame, r.invocations) for r in stream.records
+            ]
+            assert frame_bytes([r.result for r in got.records]) == frame_bytes(
+                [r.result for r in stream.records]
+            )
+        s0, s1 = loaded.streams["s0:a"].records, loaded.streams["s1:a"].records
+        assert all(a is b for a, b in zip(s0, s1))  # one shared object each
+        assert loaded.to_dict() == trace.to_dict()
+
+    def _stored(self, tmp_path):
+        """A cold serve of ``_TUNE_SPEC``: its trace store, key and entry."""
+        Session(cache_dir=tmp_path).serve(_TUNE_SPEC)
+        store, fp = TraceStore(tmp_path), trace_fingerprint(_TUNE_SPEC)
+        return store, fp, store.path_for(fp).read_bytes()
+
+    @pytest.mark.parametrize("damage", ["truncated base64", "wrong length", "v1 entry"])
+    def test_damaged_entry_is_a_miss_and_rewritten(self, tmp_path, monkeypatch, damage):
+        store, fp, good = self._stored(tmp_path)
+        payload = json.loads(good)
+        records = payload["trace"]["records"]
+        if damage == "truncated base64":
+            records["boxes"] = records["boxes"][:-2]
+        elif damage == "wrong length":  # valid base64, one score short
+            scores = base64.b64decode(records["scores"])[:-8]
+            records["scores"] = base64.b64encode(scores).decode("ascii")
+        else:
+            payload = {**_V1_ENTRY, "fingerprint": fp}
+        store.path_for(fp).write_text(json.dumps(payload), encoding="utf-8")
+        monkeypatch.setattr(trace_mod, "_held", None)
+        assert store.load(fp) is None
+        # Another grid point of the deployment re-records and rewrites it.
+        other = dataclasses.replace(_TUNE_SPEC, policy=ServePolicy(max_batch_size=2))
+        session = Session(cache_dir=tmp_path)
+        session.serve(other)
+        assert session.trace_misses == 1
+        assert store.path_for(fp).read_bytes() == good
+
+
+class TestTraceEntrySize:
+    """A deterministic size gate on the v2 entry (any host)."""
+
+    #: Six streams over two sequences, admitting every frame.
+    SPEC = ServeSpec(
+        system=CATDET,
+        dataset=DatasetSpec("kitti", num_sequences=2, frames_per_sequence=10),
+        load=LoadSpec(pattern="uniform", num_streams=6, rate_hz=10.0, frames_per_stream=10),
+        policy=ServePolicy(max_batch_size=4, queue_capacity=64),
+        service=SERVICE,
+    )
+    #: The same deployment's entry in the v1 layout (one JSON record per
+    #: stream frame), measured with the v1 store.
+    V1_BYTES = 75_058
+
+    def test_entry_is_a_third_of_v1_and_stores_each_frame_once(self, tmp_path):
+        report = Session(cache_dir=tmp_path).serve(self.SPEC)
+        assert report.frames_shed == 0
+        path = TraceStore(tmp_path).path_for(trace_fingerprint(self.SPEC))
+        assert path.stat().st_size <= self.V1_BYTES / 3
+        trace = json.loads(path.read_bytes())["trace"]
+        distinct = len(decode_columns(trace["records"])["frame"])
+        loaded = ComputeTrace.from_dict(trace)
+        admitted = {
+            (stream.sequence, rec.frame)
+            for stream in loaded.streams.values()
+            for rec in stream.records
+        }
+        assert distinct == len(admitted) == 20
+        assert loaded.total_frames == report.frames_served == 60
 
 
 class TestTraceFingerprint:
