@@ -239,7 +239,7 @@ class ServingLoop:
             before = self._measured_invocations()
             frame_results = run_frame_batch(work, metrics=self.metrics)
             invocations = self._measured_invocations() - before
-        macs = fold_sum([fr.ops.total for fr in frame_results])
+        macs = fold_sum(fr.ops.total for fr in frame_results)
         windows = []
         for state, fr in zip(states, frame_results):
             state.results.append(fr)

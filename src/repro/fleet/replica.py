@@ -19,7 +19,7 @@ seconds priced at each device's hourly rate).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
@@ -228,14 +228,14 @@ class ReplicaSet:
 
     def replica_seconds(self, makespan: float) -> float:
         """Total allocated capacity: the sum of every replica's lifetime."""
-        return fold_sum([r.alive_seconds(makespan) for r in self.replicas])
+        return fold_sum(r.alive_seconds(makespan) for r in self.replicas)
 
     def cost(self, makespan: float) -> float:
         """Fleet allocation cost over the run."""
-        return fold_sum([r.cost(makespan) for r in self.replicas])
+        return fold_sum(r.cost(makespan) for r in self.replicas)
 
 
-def fold_sum(values: List[float]) -> float:
+def fold_sum(values: Iterable[float]) -> float:
     """``values`` added left to right: builtin ``sum()`` compensates float
     sums on Python 3.12+, so its last bits would depend on the version."""
     total = 0
