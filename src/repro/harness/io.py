@@ -15,17 +15,18 @@ The full format stores a run's frame lists as one table: the columns a
 :class:`~repro.core.results.FrameResultBuffer` holds in memory
 (:meth:`~repro.core.results.FrameResultBuffer.to_columns`), sequence
 after sequence, beside each sequence's frame count.  Every class
-evaluation's pooled scores, TP flags and track delay records are columns
-with offsets.  :func:`encode_columns` writes each column as its
-little-endian bytes, base64'd inside the JSON entry, so every float
-survives bit for bit (NaN scores and ``-inf`` miss markers included) and
-a load parses no numbers: :func:`decode_columns` hands back read-only
-arrays over the decoded bytes, and each loaded sequence is a
-``FrameResultBuffer`` view of them, with no per-frame objects built.  A
-column whose base64 is cut short, whose bytes do not fill whole rows, or
-whose length disagrees with its table raises :class:`ValueError`, which
-every store reads as a miss.  The compute-trace store
-(:mod:`repro.serve.trace`) uses the same codec.
+evaluation's pooled scores, TP flags and
+:class:`~repro.metrics.delay.TrackDelays` table are columns.
+:func:`encode_columns` writes each column as its little-endian bytes,
+base64'd inside the JSON entry, so every float survives bit for bit (NaN
+scores and ``-inf`` miss markers included) and a load parses no numbers:
+:func:`decode_columns` hands back read-only arrays over the decoded
+bytes; each loaded sequence is a ``FrameResultBuffer`` view of them and
+each class's tracks a ``TrackDelays`` table, with no per-frame or
+per-track objects built.  A column whose base64 is cut short, whose
+bytes do not fill whole rows, or whose length disagrees with its table
+raises :class:`ValueError`, which every store reads as a miss.  The
+compute-trace store (:mod:`repro.serve.trace`) uses the same codec.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from repro.core.config import config_from_dict, config_to_dict
 from repro.core.results import FrameResult, FrameResultBuffer, OpsAccount, SequenceResult, SystemRunResult
 from repro.harness.experiment import ExperimentResult
-from repro.metrics.delay import TrackDelayRecord
+from repro.metrics.delay import TrackDelays
 from repro.metrics.evaluate import ClassEvaluation, EvaluationResult
 
 FULL_FORMAT = "repro-experiment-full/2"
@@ -61,6 +62,9 @@ COLUMN_TYPES: Dict[str, Tuple[str, int]] = {
     "timing": ("<f8", 3),
     "boxes": ("<f8", 4),
 }
+
+#: An evaluation's :class:`TrackDelays` columns, in field order.
+_TRACK_COLUMNS = ("track_offsets", "track_frames", "matched_scores", "ever_cared")
 
 __all__ = [
     "config_to_dict",
@@ -218,18 +222,15 @@ def run_from_dict(data: Dict) -> SystemRunResult:
 
 def evaluation_to_dict(evaluation: EvaluationResult) -> Dict:
     """Serialize an :class:`EvaluationResult` losslessly: per class, its
-    pooled scores and TP flags plus its track delay records as columns
-    with offsets."""
+    pooled scores and TP flags plus its :class:`TrackDelays` table's
+    columns."""
     per_class = []
     for ce in evaluation.per_class:
-        tracks = ce.tracks
+        t = ce.tracks
         columns = {
             "scores": ce.scores,
             "tp": ce.tp,
-            "track_offsets": np.cumsum([0] + [len(t.frames) for t in tracks]),
-            "track_frames": [f for t in tracks for f in t.frames],
-            "matched_scores": [s for t in tracks for s in t.matched_scores],
-            "ever_cared": [t.ever_cared for t in tracks],
+            **dict(zip(_TRACK_COLUMNS, (t.offsets, t.frames, t.matched_scores, t.ever_cared))),
         }
         per_class.append(
             {"label": ce.label, "name": ce.name, "num_gt": ce.num_gt,
@@ -239,37 +240,17 @@ def evaluation_to_dict(evaluation: EvaluationResult) -> Dict:
 
 
 def evaluation_from_dict(data: Dict) -> EvaluationResult:
-    """Inverse of :func:`evaluation_to_dict`."""
+    """Inverse of :func:`evaluation_to_dict`: each class's tracks are a
+    :class:`TrackDelays` table over the decoded read-only columns."""
     per_class: List[ClassEvaluation] = []
     for entry in data["per_class"]:
         columns = decode_columns(entry["columns"])
-        offsets = columns["track_offsets"].tolist()
-        frames = columns["track_frames"].tolist()
-        scores = columns["matched_scores"].tolist()
-        cared = columns["ever_cared"].tolist()
-        bounds = list(zip(offsets, offsets[1:]))
-        if (
-            len(columns["scores"]) != len(columns["tp"])
-            or len(offsets) != len(cared) + 1
-            or offsets[0] != 0
-            or offsets[-1] != len(frames)
-            or len(scores) != len(frames)
-            or any(lo > hi for lo, hi in bounds)
-        ):
+        if len(columns["scores"]) != len(columns["tp"]):
             raise ValueError("inconsistent evaluation columns")
-        per_class.append(
-            ClassEvaluation(
-                label=entry["label"],
-                name=entry["name"],
-                scores=columns["scores"],
-                tp=columns["tp"],
-                num_gt=entry["num_gt"],
-                tracks=[
-                    TrackDelayRecord(frames[lo:hi], scores[lo:hi], ever_cared)
-                    for (lo, hi), ever_cared in zip(bounds, cared)
-                ],
-            )
-        )
+        tracks = TrackDelays(*(columns[name] for name in _TRACK_COLUMNS))
+        per_class.append(ClassEvaluation(
+            entry["label"], entry["name"], columns["scores"], columns["tp"], entry["num_gt"], tracks
+        ))
     return EvaluationResult(difficulty=data["difficulty"], per_class=per_class)
 
 

@@ -12,7 +12,7 @@ from typing import List
 
 import numpy as np
 
-from repro.metrics.delay import _at_least
+from repro.metrics.delay import _at_least, quantiles
 from repro.metrics.evaluate import ClassEvaluation
 
 
@@ -34,21 +34,21 @@ def precision_recall_delay_curves(
     """Sweep thresholds over one class's detections.
 
     Thresholds are score quantiles, so points spread evenly over the
-    detection set.  Points are returned in increasing-threshold order
-    (i.e. increasing precision, decreasing recall — left to right matches
-    the paper's x-axis).
+    detection set; one :meth:`~repro.metrics.delay.TrackDelays.delays`
+    call gives every threshold's mean delay.  Points are returned in
+    increasing-threshold order (i.e. increasing precision, decreasing
+    recall — left to right matches the paper's x-axis).
     """
     if num_points < 2:
         raise ValueError(f"num_points must be >= 2, got {num_points}")
-    delay_eval = class_eval.as_delay_eval()
     if class_eval.scores.size == 0:
         return []
-    thresholds = np.unique(
-        np.quantile(class_eval.scores, np.linspace(0.0, 1.0, num_points))
-    )
+    thresholds = np.unique(quantiles(class_eval.scores, np.linspace(0.0, 1.0, num_points)))
     precision, hits = _at_least(class_eval.scores, class_eval.tp, thresholds)
     recall = hits / class_eval.num_gt if class_eval.num_gt else np.zeros(hits.size)
+    tracks = class_eval.tracks
+    delay = tracks.delays(thresholds).mean(axis=1) if tracks else np.full(hits.size, np.nan)
     return [
-        CurvePoint(t, p, r, delay_eval.mean_delay(t))
-        for t, p, r in zip(thresholds.tolist(), precision.tolist(), recall.tolist())
+        CurvePoint(*point)
+        for point in zip(thresholds.tolist(), precision.tolist(), recall.tolist(), delay.tolist())
     ]

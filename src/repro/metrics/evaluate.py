@@ -7,13 +7,17 @@ This is the top-level entry point the benchmarks use::
     result.mean_delay(0.8)      # mD@0.8
 
 ``per_sequence_detections`` maps sequence name to a list with one
-:class:`~repro.detections.Detections` per frame.
+:class:`~repro.detections.Detections` per frame.  Each class's pooled
+detection scores and TP flags feed AP; its ground truths' per-frame
+matched scores are grouped by (sequence, track id), in order of first
+appearance, into one :class:`~repro.metrics.delay.TrackDelays` table that
+every delay metric reduces over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence as Seq, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence as Seq, Tuple
 
 import numpy as np
 
@@ -22,12 +26,12 @@ from repro.detections import Detections
 from repro.metrics.ap import average_precision
 from repro.metrics.delay import (
     DelayEvaluation,
-    TrackDelayRecord,
+    TrackDelays,
     mean_delay_at_precision,
     threshold_for_precision,
 )
 from repro.metrics.kitti_eval import DifficultyFilter, care_mask
-from repro.metrics.matching import match_frame
+from repro.metrics.matching import FrameMatchResult, match_frame
 
 
 @dataclass
@@ -39,7 +43,10 @@ class ClassEvaluation:
     scores: np.ndarray
     tp: np.ndarray
     num_gt: int
-    tracks: List[TrackDelayRecord]
+    tracks: TrackDelays
+
+    def __post_init__(self) -> None:
+        self.tracks = TrackDelays.from_records(self.tracks)
 
     def ap(self, method: str = "r40") -> float:
         """Average precision of this class."""
@@ -93,9 +100,7 @@ class EvaluationResult:
         evals = [ce.as_delay_eval() for ce in self.per_class]
         t_beta = threshold_for_precision(evals, beta)
         values = [e.mean_exit_delay(t_beta) for e in evals if e.tracks]
-        if not values:
-            return float("nan")
-        return float(np.mean(values))
+        return float(np.mean(values)) if values else float("nan")
 
     def summary(self) -> Dict[str, float]:
         """Compact dict for table printing."""
@@ -134,9 +139,10 @@ def evaluate_dataset(
     class_scores: Dict[int, List[np.ndarray]] = {c.label: [] for c in dataset.classes}
     class_tp: Dict[int, List[np.ndarray]] = {c.label: [] for c in dataset.classes}
     class_num_gt: Dict[int, int] = {c.label: 0 for c in dataset.classes}
-    class_tracks: Dict[int, Dict[Tuple[str, int], TrackDelayRecord]] = {
-        c.label: {} for c in dataset.classes
+    class_rows: Dict[int, List[Tuple[int, int, FrameMatchResult]]] = {
+        c.label: [] for c in dataset.classes
     }
+    sequence_ids: Dict[str, int] = {}
 
     for sequence in dataset.sequences:
         if sequence.name not in results:
@@ -148,6 +154,7 @@ def evaluate_dataset(
                 f"frames of detections, got {len(frame_dets)}"
             )
         eval_frames = dataset.evaluation_frames(sequence)
+        sequence_id = sequence_ids.setdefault(sequence.name, len(sequence_ids))
         for frame in eval_frames:
             annotations = sequence.annotations(frame)
             care = care_mask(annotations, difficulty)
@@ -160,41 +167,39 @@ def evaluate_dataset(
                 class_tp[spec.label].append(match.det_tp[keep])
                 class_num_gt[spec.label] += match.num_gt
                 if with_delay:
-                    records = class_tracks[spec.label]
-                    for gt_i, track_id in enumerate(match.gt_track_ids):
-                        key = (sequence.name, int(track_id))
-                        records.setdefault(key, TrackDelayRecord()).append(
-                            frame,
-                            float(match.gt_matched_scores[gt_i]),
-                            cared=bool(match.gt_care[gt_i]),
-                        )
+                    class_rows[spec.label].append((sequence_id, frame, match))
 
     per_class: List[ClassEvaluation] = []
     for spec in dataset.classes:
-        scores = (
-            np.concatenate(class_scores[spec.label])
-            if class_scores[spec.label]
-            else np.zeros(0)
-        )
-        tp = (
-            np.concatenate(class_tp[spec.label])
-            if class_tp[spec.label]
-            else np.zeros(0, dtype=bool)
-        )
-        per_class.append(
-            ClassEvaluation(
-                label=spec.label,
-                name=spec.name,
-                scores=scores,
-                tp=tp.astype(bool),
-                num_gt=class_num_gt[spec.label],
-                # Only tracks that ever met the difficulty bar enter the
-                # delay average; their clock still runs from first frame.
-                tracks=[
-                    record
-                    for record in class_tracks[spec.label].values()
-                    if record.ever_cared
-                ],
-            )
-        )
+        scores = np.concatenate(class_scores[spec.label] or [np.zeros(0)])
+        tp = np.concatenate(class_tp[spec.label] or [np.zeros(0, dtype=bool)])
+        per_class.append(ClassEvaluation(
+            spec.label, spec.name, scores, tp.astype(bool), class_num_gt[spec.label],
+            _track_table(class_rows[spec.label]),
+        ))
     return EvaluationResult(difficulty=difficulty.name, per_class=per_class)
+
+
+def _track_table(rows: List[Tuple[int, int, FrameMatchResult]]) -> TrackDelays:
+    """The ground truths of ``(sequence, frame, match)`` rows grouped into
+    one track per (sequence, track id), in order of first appearance, each
+    track's frames in row order.  Only tracks that ever met the difficulty
+    bar enter the delay average; their clock still runs from first frame."""
+    sizes = [m.gt_track_ids.size for _, _, m in rows]
+    if not sum(sizes):
+        return TrackDelays.from_records([])
+    sequence, frame = (np.repeat([row[i] for row in rows], sizes) for i in (0, 1))
+    track, score, care = (np.concatenate(c) for c in zip(
+        *[(m.gt_track_ids, m.gt_matched_scores, m.gt_care) for _, _, m in rows]
+    ))
+    track = track - track.min()
+    key = sequence * (track.max() + 1) + track  # one per (sequence, track id)
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))[group]  # each row's track, by first appearance
+    cared = np.bincount(rank, weights=care, minlength=first.size) > 0
+    order = np.argsort(rank, kind="stable")
+    order = order[cared[rank[order]]]
+    counts = np.bincount(rank, minlength=first.size)[cared]
+    return TrackDelays(
+        np.append(0, np.cumsum(counts)), frame[order], score[order], np.ones(counts.size, dtype=bool)
+    )

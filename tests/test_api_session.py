@@ -191,6 +191,48 @@ class TestColumnarCodec:
                 for t in b.tracks
             ]
 
+    #: sha256 of the canonical JSON of ``evaluation_to_dict`` for
+    #: ``PIN_SPEC`` (2 classes, 24 tracks), recorded when each track was
+    #: still a ``TrackDelayRecord``: entries written then must keep hitting.
+    PIN_SPEC = ExperimentSpec(
+        SystemConfig("catdet", "resnet50", "resnet10a"),
+        DatasetSpec("kitti", num_sequences=4, frames_per_sequence=20),
+        EvalSpec(("hard",)),
+    )
+    PIN_SHA256 = "dcec88e4a9b4bc16529b42173a3c249fc4a067d7b77ded4cd39a1588b50d57f0"
+
+    def test_evaluation_entry_bytes_are_pinned(self, tmp_path):
+        import hashlib
+
+        from repro.harness.io import evaluation_from_dict, evaluation_to_dict
+        from repro.metrics.delay import TrackDelays
+
+        def sha256(evaluation):
+            text = json.dumps(evaluation_to_dict(evaluation), sort_keys=True)
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+        Session(cache_dir=tmp_path).run(self.PIN_SPEC)
+        session = Session(cache_dir=tmp_path)
+        hit = session.run(self.PIN_SPEC)
+        assert session.cache_hits == 1
+        evaluation = hit.evaluations["hard"]
+        assert len(evaluation.per_class) == 2
+        assert sum(len(ce.tracks) for ce in evaluation.per_class) == 24
+        for ce in evaluation.per_class:
+            assert isinstance(ce.tracks, TrackDelays)
+            for column in (ce.tracks.offsets, ce.tracks.frames,
+                           ce.tracks.matched_scores, ce.tracks.ever_cared):
+                assert not column.flags.writeable
+        assert sha256(evaluation) == self.PIN_SHA256
+        fresh = Session().run(self.PIN_SPEC).evaluations["hard"]
+        assert sha256(fresh) == self.PIN_SHA256
+        decoded = evaluation_from_dict(json.loads(json.dumps(evaluation_to_dict(fresh))))
+        assert sha256(decoded) == self.PIN_SHA256
+        for ev in (evaluation, fresh, decoded):
+            assert ev.mean_delay(0.8) == 0.6666666666666666
+            assert ev.mean_exit_delay(0.8) == 0.23333333333333334
+            assert ev.threshold_at_precision(0.8) == 0.19449614176815144
+
     def test_a_hit_builds_no_per_frame_objects(self, tmp_path):
         from repro.core.results import FrameResultBuffer
 

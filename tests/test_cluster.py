@@ -327,8 +327,11 @@ class TestFaultTolerance:
             deadline = time.time() + 30
             while time.time() < deadline and "run" not in done:
                 for lease_path in queue.lease_dir.glob("*.json"):
-                    stat = lease_path.stat()
-                    os.utime(lease_path, (stat.st_atime, stat.st_mtime - 6))
+                    try:  # the coordinator may release it after the glob
+                        stat = lease_path.stat()
+                        os.utime(lease_path, (stat.st_atime, stat.st_mtime - 6))
+                    except FileNotFoundError:
+                        continue
                 time.sleep(0.05)
             coordinator.join(timeout=60)
             healthy.join(timeout=60)

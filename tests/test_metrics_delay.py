@@ -6,9 +6,11 @@ import pytest
 from repro.metrics.delay import (
     DelayEvaluation,
     TrackDelayRecord,
+    TrackDelays,
     _at_least,
     delay_at_threshold,
     mean_delay_at_precision,
+    quantiles,
     threshold_for_precision,
 )
 
@@ -191,3 +193,143 @@ class TestThresholdSearchOracle:
         )
         assert hits.tolist() == [1, 1, 0, 0]
         assert precision.tolist() == [0.5, 1.0, 1.0, 1.0]
+
+
+def _random_tracks(rng):
+    """Tracks with empty ones, ties, -inf misses and NaN scores."""
+    records = []
+    for _ in range(int(rng.choice([0, 1, 3, 8]))):
+        n, grid = int(rng.choice([0, 1, 2, 5, 9])), rng.choice([4, 10, 1000])
+        scores = np.round(rng.random(n) * grid) / grid  # ties on coarse grids
+        scores[rng.random(n) < 0.3] = -np.inf
+        if rng.random() < 0.2:
+            scores[rng.random(n) < 0.3] = np.nan
+        records.append(TrackDelayRecord(
+            sorted(rng.choice(100, n, replace=False).tolist()),
+            scores.tolist(),
+            bool(rng.random() < 0.8),
+        ))
+    return records
+
+
+class TestTrackDelaysOracle:
+    """The table's segment reductions against the per-record scalar loop."""
+
+    def test_delays_equal_record_loop(self):
+        rng = np.random.default_rng(11)
+        seen = {"no_tracks": 0, "empty_track": 0, "nan": 0, "neg_inf": 0, "exact": 0}
+        for _ in range(500):
+            records = _random_tracks(rng)
+            table = TrackDelays.from_records(records)
+            pool = np.array([s for r in records for s in r.matched_scores])
+            finite = pool[np.isfinite(pool)]
+            thresholds = [0.0, 0.5, 1.0, -np.inf, np.nan, *rng.random(3)]
+            thresholds += rng.choice(finite, min(3, finite.size)).tolist() if finite.size else []
+            for exit in (False, True):
+                expected = [
+                    [r.exit_delay_at(t) if exit else r.delay_at(t) for r in records]
+                    for t in thresholds
+                ]
+                got = table.delays(thresholds, exit=exit)
+                assert got.dtype == np.int64 and got.tolist() == expected
+                evaluation = DelayEvaluation(np.zeros(0), np.zeros(0, dtype=bool), records)
+                for t, row in zip(thresholds, expected):
+                    mean = evaluation.mean_exit_delay(t) if exit else evaluation.mean_delay(t)
+                    if records:
+                        assert mean == float(np.mean(row))
+                    else:
+                        assert np.isnan(mean)
+            seen["no_tracks"] += not records
+            seen["empty_track"] += any(len(r) == 0 for r in records)
+            seen["nan"] += bool(np.isnan(pool).any())
+            seen["neg_inf"] += bool(np.isneginf(pool).any())
+            seen["exact"] += bool(finite.size)
+        assert min(seen.values()) >= 25, seen
+
+    def test_iteration_yields_read_only_records(self):
+        records = [
+            TrackDelayRecord([3, 4, 5], [-np.inf, 0.25, np.nan], True),
+            TrackDelayRecord([], [], False),
+            TrackDelayRecord([7], [0.5], False),
+        ]
+        table = TrackDelays.from_records(records)
+        assert len(table) == 3 and table and not TrackDelays.from_records([])
+        views = list(table)
+        for view, record in zip(views, records):
+            assert list(view.frames) == record.frames
+            assert np.array(view.matched_scores).tobytes() == np.array(record.matched_scores).tobytes()
+            assert view.ever_cared == record.ever_cared
+        with pytest.raises(AttributeError):
+            views[0].append(8, 0.9)
+        assert TrackDelays.from_records(table) is table
+        assert DelayEvaluation(np.zeros(0), np.zeros(0, dtype=bool), records).tracks.frames.tolist() == [3, 4, 5, 7]
+
+    @pytest.mark.parametrize("damage", ["offset start", "offset end", "decreasing", "cared length", "scores length"])
+    def test_inconsistent_columns_raise(self, damage):
+        offsets, frames = np.array([0, 2, 3]), np.array([0, 1, 5])
+        scores, cared = np.array([0.1, 0.2, 0.3]), np.array([True, True])
+        if damage == "offset start":
+            offsets = np.array([1, 2, 3])
+        elif damage == "offset end":
+            offsets = np.array([0, 2, 4])
+        elif damage == "decreasing":
+            offsets = np.array([0, 3, 2, 3])
+            cared = np.array([True, True, True])
+        elif damage == "cared length":
+            cared = np.array([True])
+        else:
+            scores = scores[:2]
+        with pytest.raises(ValueError, match="inconsistent"):
+            TrackDelays(offsets, frames, scores, cared)
+
+
+class TestExactQuantiles:
+    def test_bit_equal_to_np_quantile(self):
+        rng = np.random.default_rng(5)
+        q = np.linspace(0.0, 1.0, 512)
+        cases = [np.array([0.3]), np.full(7, 0.25), np.array([0.1, np.nan, 0.2]),
+                 np.array([-np.inf, 0.5, 0.5]), np.array([np.nan])]
+        for _ in range(500):
+            n = int(rng.integers(1, 300))
+            values = rng.random(n)
+            if rng.random() < 0.5:
+                values = np.round(values * rng.choice([2, 5, 20])) / 20  # heavy ties
+            if rng.random() < 0.1:
+                values[rng.random(n) < 0.1] = -np.inf
+            if rng.random() < 0.1:
+                values[rng.random(n) < 0.1] = np.nan
+            cases.append(values)
+        for values in cases:
+            for qs in (q, np.linspace(0.0, 1.0, int(rng.integers(2, 70))), np.sort(rng.random(9))):
+                with np.errstate(invalid="ignore"):  # quantiles next to -inf
+                    expected = np.quantile(values, qs)
+                    got = quantiles(values, qs)
+                assert got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes()
+
+
+class TestThresholdTieBand:
+    def test_errors_within_tie_band_match_the_full_scan(self):
+        """beta midway between two candidates' precisions (plus a nudge
+        below 1e-12) puts their errors inside the tie band."""
+        rng = np.random.default_rng(23)
+        seen = 0
+        for _ in range(500):
+            per_class = [_random_class(rng) for _ in range(int(rng.integers(1, 4)))]
+            pooled = np.concatenate([c.scores for c in per_class])
+            candidates = np.unique(np.concatenate([[0.0], pooled[np.isfinite(pooled)], [2.0]]))
+            mean_precision = np.mean(
+                [[c.precision_at(t) for c in per_class] for t in candidates], axis=1
+            )
+            distinct = np.unique(mean_precision)
+            if distinct.size < 2:
+                continue
+            a, b = rng.choice(distinct, 2, replace=False)
+            beta = float((a + b) / 2 + rng.choice([-4e-13, 0.0, 4e-13]))
+            with np.errstate(invalid="ignore"):
+                fast = threshold_for_precision(per_class, beta)
+                loop = _loop_threshold_for_precision(per_class, beta, 512)
+            assert fast == loop or (np.isnan(fast) and np.isnan(loop))
+            errors = np.abs(mean_precision - beta)
+            seen += bool((np.abs(errors - errors.min()) < 1e-12).sum() > 1)
+        assert seen >= 100

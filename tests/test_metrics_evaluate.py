@@ -79,6 +79,37 @@ class TestEvaluateDataset:
         with pytest.raises(KeyError):
             res.class_eval("Plane")
 
+    @pytest.mark.parametrize("difficulty", [EASY, HARD])
+    def test_track_table_equals_per_gt_records(self, kitti_small, difficulty):
+        """The table keeps the per-GT record loop's tracks, order and rows."""
+        from repro.core.config import SystemConfig
+        from repro.core.pipeline import run_on_dataset
+        from repro.metrics.matching import match_frame
+
+        results = run_on_dataset(SystemConfig("single", "resnet10a"), kitti_small).detections_by_sequence
+        res = evaluate_dataset(kitti_small, results, difficulty)
+        dropped = 0
+        for spec, ce in zip(kitti_small.classes, res.per_class):
+            records = {}
+            for sequence in kitti_small.sequences:
+                for frame in kitti_small.evaluation_frames(sequence):
+                    annotations = sequence.annotations(frame)
+                    match = match_frame(
+                        results[sequence.name][frame], annotations, spec.label,
+                        spec.min_iou, care_mask(annotations, difficulty),
+                    )
+                    for gt_i, track_id in enumerate(match.gt_track_ids):
+                        records.setdefault((sequence.name, int(track_id)), TrackDelayRecord()).append(
+                            frame, float(match.gt_matched_scores[gt_i]), bool(match.gt_care[gt_i])
+                        )
+            expected = [
+                (r.frames, r.matched_scores, r.ever_cared) for r in records.values() if r.ever_cared
+            ]
+            assert len(expected) >= 2
+            assert [(list(t.frames), list(t.matched_scores), t.ever_cared) for t in ce.tracks] == expected
+            dropped += len(records) - len(expected)
+        assert dropped > 0  # some tracks never meet the bar
+
     def test_summary_keys(self):
         ds = _perfect_world()
         res = evaluate_dataset(ds, _perfect_detections(ds), HARD)
