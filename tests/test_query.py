@@ -42,12 +42,14 @@ from repro.query import (
     QuerySpec,
     QueryWindow,
     Region,
+    TemporalExpr,
     Then,
     TrackEnteredRegion,
     TrackLeftRegion,
     TrackPersisted,
     conjoin,
     evaluate_frames,
+    expr_from_dict,
     prop_from_dict,
     scene_of_stream,
 )
@@ -199,6 +201,228 @@ class TestQuerySpec:
             Eventually(ClassPresent(CAR), within=0)
         with pytest.raises(ValueError):
             Then((ClassPresent(CAR),))
+
+
+# One instance of every serializable query class, float-typed fields
+# built from ints where the API allows, and the exact ``json.dumps`` of
+# its ``to_dict`` (unsorted, so key order is pinned too).
+_R = Region(0, 0, 621, 375)
+_W = QueryWindow("s0:0000", 3, 9, 1, 7, (5, 9))
+_FOI = FramesOfInterest(
+    stream="s0:0000",
+    query="q",
+    fingerprint="0123abcd" * 8,
+    windows=[_W, QueryWindow("s0:0000", 12, 12, 10, 10, (12, 12))],
+    frames_observed=30,
+)
+_FOI_EMPTY = FramesOfInterest(
+    stream="s1:0000", query="q", fingerprint="0123abcd" * 8, windows=[], frames_observed=0
+)
+_FOI_BYTES = (
+    '{"stream": "s0:0000", "query": "q", "fingerprint": "' + "0123abcd" * 8 + '", '
+    '"frames_observed": 30, "windows": [{"stream": "s0:0000", "start": 3, "end": 9, '
+    '"start_tick": 1, "end_tick": 7, "phases": [5, 9]}, {"stream": "s0:0000", '
+    '"start": 12, "end": 12, "start_tick": 10, "end_tick": 10, "phases": [12, 12]}]}'
+)
+PINNED_BYTES = {
+    "region": (_R, '{"x0": 0, "y0": 0, "x1": 621, "y1": 375}'),
+    "class_present": (
+        ClassPresent(0, min_score=0),
+        '{"kind": "class_present", "label": 0, "min_score": 0}',
+    ),
+    "count_at_least": (
+        CountAtLeast(3, label=1, min_score=0.25),
+        '{"kind": "count_at_least", "k": 3, "label": 1, "min_score": 0.25}',
+    ),
+    "box_in_region": (
+        BoxInRegion(_R, label=0, min_score=0.5),
+        '{"kind": "box_in_region", "region": {"x0": 0, "y0": 0, "x1": 621, "y1": 375}, '
+        '"label": 0, "min_score": 0.5}',
+    ),
+    "track_persisted": (
+        TrackPersisted(5, label=0),
+        '{"kind": "track_persisted", "min_frames": 5, "label": 0}',
+    ),
+    "track_entered_region": (
+        TrackEnteredRegion(Region(1, 2.5, 30, 40)),
+        '{"kind": "track_entered_region", "region": {"x0": 1, "y0": 2.5, "x1": 30, '
+        '"y1": 40}, "label": null}',
+    ),
+    "track_left_region": (
+        TrackLeftRegion(_R, label=1),
+        '{"kind": "track_left_region", "region": {"x0": 0, "y0": 0, "x1": 621, '
+        '"y1": 375}, "label": 1}',
+    ),
+    "not": (
+        Not(ClassPresent(1)),
+        '{"kind": "not", "prop": {"kind": "class_present", "label": 1, "min_score": 0.0}}',
+    ),
+    "all_of": (
+        AllOf((ClassPresent(0), CountAtLeast(2))),
+        '{"kind": "all_of", "props": [{"kind": "class_present", "label": 0, '
+        '"min_score": 0.0}, {"kind": "count_at_least", "k": 2, "label": null, '
+        '"min_score": 0.0}]}',
+    ),
+    "any_of": (
+        AnyOf((ClassPresent(0, min_score=1), Not(TrackPersisted(2)))),
+        '{"kind": "any_of", "props": [{"kind": "class_present", "label": 0, '
+        '"min_score": 1}, {"kind": "not", "prop": {"kind": "track_persisted", '
+        '"min_frames": 2, "label": null}}]}',
+    ),
+    "eventually": (
+        Eventually(ClassPresent(0), within=40),
+        '{"kind": "eventually", "prop": {"kind": "class_present", "label": 0, '
+        '"min_score": 0.0}, "within": 40}',
+    ),
+    "always": (
+        Always(CountAtLeast(1), frames=3),
+        '{"kind": "always", "prop": {"kind": "count_at_least", "k": 1, "label": null, '
+        '"min_score": 0.0}, "frames": 3, "within": null}',
+    ),
+    "then": (
+        Then((ClassPresent(0), Always(ClassPresent(1), frames=2, within=10))),
+        '{"kind": "then", "steps": [{"kind": "eventually", "prop": {"kind": '
+        '"class_present", "label": 0, "min_score": 0.0}, "within": null}, {"kind": '
+        '"always", "prop": {"kind": "class_present", "label": 1, "min_score": 0.0}, '
+        '"frames": 2, "within": 10}]}',
+    ),
+    "query_window": (
+        _W,
+        '{"stream": "s0:0000", "start": 3, "end": 9, "start_tick": 1, "end_tick": 7, '
+        '"phases": [5, 9]}',
+    ),
+    "frames_of_interest": (_FOI, _FOI_BYTES),
+    "query_report": (
+        QueryReport(
+            query="q",
+            fingerprint="0123abcd" * 8,
+            streams={"s0:0000": _FOI, "s1:0000": _FOI_EMPTY},
+            conjunctions={"0000": [(3, 9), (12, 12)]},
+        ),
+        '{"query": "q", "fingerprint": "' + "0123abcd" * 8 + '", "streams": '
+        '{"s0:0000": ' + _FOI_BYTES + ', "s1:0000": {"stream": "s1:0000", "query": '
+        '"q", "fingerprint": "' + "0123abcd" * 8 + '", "frames_observed": 0, '
+        '"windows": []}}, "conjunctions": {"0000": [[3, 9], [12, 12]]}}',
+    ),
+}
+
+EVERY_KIND = QuerySpec(
+    "every-kind",
+    Then(
+        (
+            Eventually(
+                AllOf((ClassPresent(0, min_score=0), CountAtLeast(2, label=1), BoxInRegion(_R)))
+            ),
+            Always(
+                AnyOf((TrackPersisted(3), TrackEnteredRegion(Region(10, 10, 200, 100), label=0))),
+                frames=2,
+                within=5,
+            ),
+            Eventually(Not(TrackLeftRegion(_R, label=0)), within=30),
+        )
+    ),
+)
+EVERY_KIND_JSON = (
+    '{"expr": {"kind": "then", "steps": [{"kind": "eventually", "prop": {"kind": '
+    '"all_of", "props": [{"kind": "class_present", "label": 0, "min_score": 0}, '
+    '{"k": 2, "kind": "count_at_least", "label": 1, "min_score": 0.0}, {"kind": '
+    '"box_in_region", "label": null, "min_score": 0.0, "region": {"x0": 0, "x1": 621, '
+    '"y0": 0, "y1": 375}}]}, "within": null}, {"frames": 2, "kind": "always", "prop": '
+    '{"kind": "any_of", "props": [{"kind": "track_persisted", "label": null, '
+    '"min_frames": 3}, {"kind": "track_entered_region", "label": 0, "region": {"x0": '
+    '10, "x1": 200, "y0": 10, "y1": 100}}]}, "within": 5}, {"kind": "eventually", '
+    '"prop": {"kind": "not", "prop": {"kind": "track_left_region", "label": 0, '
+    '"region": {"x0": 0, "x1": 621, "y0": 0, "y1": 375}}}, "within": 30}]}, '
+    '"format": "repro-query-spec/1", "name": "every-kind"}'
+)
+
+
+def decode_like(obj, data):
+    """``data`` decoded as the class of ``obj``."""
+    if isinstance(obj, TemporalExpr):
+        return expr_from_dict(data)
+    return type(obj).from_dict(data)
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name", sorted(PINNED_BYTES))
+    def test_to_dict_bytes(self, name):
+        obj, pinned = PINNED_BYTES[name]
+        assert json.dumps(obj.to_dict()) == pinned
+        assert decode_like(obj, json.loads(pinned)) == obj
+
+    def test_every_kind_spec(self):
+        assert list(EVERY_KIND.to_dict()) == ["format", "name", "expr"]
+        assert EVERY_KIND.to_json() == EVERY_KIND_JSON
+        assert EVERY_KIND.fingerprint == (
+            "f5eaa273f4183489aa8a69ee6b743042ebf52879fe28d2da7ac9f67ab88d4151"
+        )
+
+
+_CP = {"kind": "class_present", "label": 0}
+_KNOWN = (
+    "known: ['all_of', 'any_of', 'box_in_region', 'class_present', "
+    "'count_at_least', 'not', 'track_entered_region', 'track_left_region', "
+    "'track_persisted']"
+)
+DECODE_ERRORS = [
+    (prop_from_dict, {"kind": "nope"}, ValueError, f"unknown proposition kind 'nope'; {_KNOWN}"),
+    (
+        prop_from_dict,
+        {"kind": "eventually", "prop": _CP},
+        ValueError,
+        f"unknown proposition kind 'eventually'; {_KNOWN}",
+    ),
+    (expr_from_dict, {"kind": "nope"}, ValueError, f"unknown proposition kind 'nope'; {_KNOWN}"),
+    (expr_from_dict, {"label": 0}, ValueError, f"unknown proposition kind None; {_KNOWN}"),
+    (prop_from_dict, {"kind": "class_present"}, KeyError, "'label'"),
+    (prop_from_dict, {"kind": "box_in_region"}, KeyError, "'region'"),
+    (
+        prop_from_dict,
+        {"kind": "box_in_region", "region": {"x0": 0, "y0": 0, "x1": 1}},
+        KeyError,
+        "'y1'",
+    ),
+    (prop_from_dict, {"kind": "all_of"}, KeyError, "'props'"),
+    (prop_from_dict, {"kind": "all_of", "props": []}, ValueError, "AllOf needs at least one proposition"),
+    (expr_from_dict, {"kind": "always", "prop": _CP}, KeyError, "'frames'"),
+    (expr_from_dict, {"kind": "then"}, KeyError, "'steps'"),
+    (expr_from_dict, {"kind": "then", "steps": [_CP]}, ValueError, "Then needs at least two steps, got 1"),
+    (
+        expr_from_dict,
+        {"kind": "then", "steps": [{"kind": "then", "steps": [_CP, _CP]}, _CP]},
+        TypeError,
+        "Then cannot nest inside Then; pass a flat step tuple",
+    ),
+    (QuerySpec.from_dict, {"name": "x"}, ValueError, "query spec requires 'name' and 'expr'"),
+    (
+        QuerySpec.from_dict,
+        {"format": "zz", "name": "x", "expr": _CP},
+        ValueError,
+        "unsupported query-spec format 'zz', expected 'repro-query-spec/1'",
+    ),
+    (QuerySpec.from_dict, {"name": "", "expr": _CP}, ValueError, "name must be a non-empty string, got ''"),
+    (QueryWindow.from_dict, {"stream": "s"}, KeyError, "'start'"),
+    (
+        FramesOfInterest.from_dict,
+        {"stream": "s", "query": "q", "fingerprint": "f", "windows": []},
+        KeyError,
+        "'frames_observed'",
+    ),
+    (QueryReport.from_dict, {"query": "q", "fingerprint": "f", "streams": {}}, KeyError, "'conjunctions'"),
+]
+
+
+class TestDecodeErrors:
+    @pytest.mark.parametrize(
+        "decode, data, exc, message",
+        DECODE_ERRORS,
+        ids=[f"{case[0].__qualname__}-{i}" for i, case in enumerate(DECODE_ERRORS)],
+    )
+    def test_error_type_and_message(self, decode, data, exc, message):
+        with pytest.raises(exc) as info:
+            decode(data)
+        assert str(info.value) == message
 
 
 class TestAutomaton:
