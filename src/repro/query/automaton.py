@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.results import FrameResult
+from repro.query.codec import Codec
 from repro.query.props import FrameState, TrackBook
 from repro.query.spec import Always, Eventually, QuerySpec, TemporalExpr, Then
 
@@ -70,7 +71,7 @@ def compile_phases(expr: TemporalExpr) -> Tuple[Phase, ...]:
 
 
 @dataclass(frozen=True)
-class QueryWindow:
+class QueryWindow(Codec):
     """One emitted frames-of-interest window, with match provenance.
 
     ``start`` / ``end`` are frame numbers of the underlying sequence;
@@ -86,56 +87,16 @@ class QueryWindow:
     end_tick: int
     phases: Tuple[int, ...]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "stream": self.stream,
-            "start": self.start,
-            "end": self.end,
-            "start_tick": self.start_tick,
-            "end_tick": self.end_tick,
-            "phases": list(self.phases),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "QueryWindow":
-        return cls(
-            stream=data["stream"],
-            start=int(data["start"]),
-            end=int(data["end"]),
-            start_tick=int(data["start_tick"]),
-            end_tick=int(data["end_tick"]),
-            phases=tuple(int(p) for p in data["phases"]),
-        )
-
 
 @dataclass
-class FramesOfInterest:
+class FramesOfInterest(Codec):
     """All windows one evaluator emitted over one stream."""
 
     stream: str
     query: str
     fingerprint: str
+    frames_observed: int
     windows: List[QueryWindow] = field(default_factory=list)
-    frames_observed: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "stream": self.stream,
-            "query": self.query,
-            "fingerprint": self.fingerprint,
-            "frames_observed": self.frames_observed,
-            "windows": [w.to_dict() for w in self.windows],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FramesOfInterest":
-        return cls(
-            stream=data["stream"],
-            query=data["query"],
-            fingerprint=data["fingerprint"],
-            frames_observed=int(data["frames_observed"]),
-            windows=[QueryWindow.from_dict(w) for w in data["windows"]],
-        )
 
 
 class _Partial:

@@ -20,13 +20,14 @@ an offline replay — the acceptance gate of the serving integration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.results import FrameResult
 from repro.harness.tables import format_table
 from repro.query.automaton import FramesOfInterest, QueryWindow, compile_phases
+from repro.query.codec import Codec
 from repro.query.props import FrameState, TrackBook
 from repro.query.spec import QuerySpec
 
@@ -202,7 +203,7 @@ def scene_of_stream(stream: str) -> str:
 
 
 @dataclass
-class QueryReport:
+class QueryReport(Codec):
     """Frames-of-interest across streams, plus per-scene conjunctions.
 
     Built identically from served or offline evaluation; ``format()``
@@ -243,32 +244,6 @@ class QueryReport:
     @property
     def total_windows(self) -> int:
         return sum(len(foi.windows) for foi in self.streams.values())
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "query": self.query,
-            "fingerprint": self.fingerprint,
-            "streams": {name: foi.to_dict() for name, foi in self.streams.items()},
-            "conjunctions": {
-                scene: [list(iv) for iv in ivs]
-                for scene, ivs in self.conjunctions.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "QueryReport":
-        return cls(
-            query=data["query"],
-            fingerprint=data["fingerprint"],
-            streams={
-                name: FramesOfInterest.from_dict(foi)
-                for name, foi in data["streams"].items()
-            },
-            conjunctions={
-                scene: [(int(iv[0]), int(iv[1])) for iv in ivs]
-                for scene, ivs in data["conjunctions"].items()
-            },
-        )
 
     def format(self) -> str:
         """The frames-of-interest window table (plus conjunctions)."""

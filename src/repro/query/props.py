@@ -3,7 +3,8 @@
 A proposition asks one yes/no question about a single frame of one
 stream — "is a car present?", "are there >= 3 detections in this
 region?", "has some track persisted >= N frames?".  Propositions are
-frozen, JSON-round-trippable dataclasses (``kind``-tagged for dispatch);
+frozen dataclasses, ``kind``-tagged by ``@_register`` and serialized by
+the one query codec (:mod:`repro.query.codec`);
 the temporal layer (:mod:`repro.query.spec`) combines them with
 ``eventually`` / ``always`` / ``then``.
 
@@ -22,10 +23,11 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.detections import Detections
+from repro.query.codec import Codec, _register, known_kinds
 
 
 @dataclass(frozen=True)
-class Region:
+class Region(Codec):
     """An axis-aligned region of the image, in pixels.
 
     Membership is by box *center* — robust to partial overlap and cheap
@@ -53,18 +55,6 @@ class Region:
 
     def contains_point(self, x: float, y: float) -> bool:
         return self.x0 <= x < self.x1 and self.y0 <= y < self.y1
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"x0": self.x0, "y0": self.y0, "x1": self.x1, "y1": self.y1}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Region":
-        return cls(
-            x0=float(data["x0"]),
-            y0=float(data["y0"]),
-            x1=float(data["x1"]),
-            y1=float(data["y1"]),
-        )
 
 
 class TrackBook:
@@ -128,42 +118,23 @@ class FrameState:
 # Propositions
 # --------------------------------------------------------------------- #
 
-_PROP_KINDS: Dict[str, type] = {}
 
-
-def _register(kind: str):
-    def wrap(cls):
-        cls.kind = kind
-        _PROP_KINDS[kind] = cls
-        return cls
-
-    return wrap
-
-
-class Prop:
+class Prop(Codec):
     """Base class: one frame-local yes/no question."""
-
-    kind = "?"
 
     def evaluate(self, state: FrameState) -> bool:
         raise NotImplementedError
 
-    def to_dict(self) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def _base_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind}
+    @classmethod
+    def _unknown_kind(cls, data: Dict[str, Any]) -> "Prop":
+        raise ValueError(
+            f"unknown proposition kind {data.get('kind')!r}; known: {known_kinds(Prop)}"
+        )
 
 
 def prop_from_dict(data: Dict[str, Any]) -> Prop:
     """Reconstruct any proposition from its ``kind``-tagged dict."""
-    kind = data.get("kind")
-    cls = _PROP_KINDS.get(kind)
-    if cls is None:
-        raise ValueError(
-            f"unknown proposition kind {kind!r}; known: {sorted(_PROP_KINDS)}"
-        )
-    return cls.from_dict(data)
+    return Prop.from_dict(data)
 
 
 def _label_mask(detections: Detections, label: Optional[int]) -> np.ndarray:
@@ -185,13 +156,6 @@ class ClassPresent(Prop):
         mask = (d.labels == int(self.label)) & (d.scores >= self.min_score)
         return bool(mask.any())
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {**self._base_dict(), "label": self.label, "min_score": self.min_score}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassPresent":
-        return cls(label=int(data["label"]), min_score=float(data.get("min_score", 0.0)))
-
 
 @_register("count_at_least")
 @dataclass(frozen=True)
@@ -211,23 +175,6 @@ class CountAtLeast(Prop):
         mask = _label_mask(d, self.label) & (d.scores >= self.min_score)
         return int(mask.sum()) >= self.k
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            **self._base_dict(),
-            "k": self.k,
-            "label": self.label,
-            "min_score": self.min_score,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CountAtLeast":
-        label = data.get("label")
-        return cls(
-            k=int(data["k"]),
-            label=None if label is None else int(label),
-            min_score=float(data.get("min_score", 0.0)),
-        )
-
 
 @_register("box_in_region")
 @dataclass(frozen=True)
@@ -244,23 +191,6 @@ class BoxInRegion(Prop):
         if not mask.any():
             return False
         return bool(self.region.contains_centers(d.boxes[mask]).any())
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            **self._base_dict(),
-            "region": self.region.to_dict(),
-            "label": self.label,
-            "min_score": self.min_score,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "BoxInRegion":
-        label = data.get("label")
-        return cls(
-            region=Region.from_dict(data["region"]),
-            label=None if label is None else int(label),
-            min_score=float(data.get("min_score", 0.0)),
-        )
 
 
 @_register("track_persisted")
@@ -289,21 +219,6 @@ class TrackPersisted(Prop):
                 return True
         return False
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            **self._base_dict(),
-            "min_frames": self.min_frames,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TrackPersisted":
-        label = data.get("label")
-        return cls(
-            min_frames=int(data["min_frames"]),
-            label=None if label is None else int(label),
-        )
-
 
 @_register("track_entered_region")
 @dataclass(frozen=True)
@@ -321,21 +236,6 @@ class TrackEnteredRegion(Prop):
     def evaluate(self, state: FrameState) -> bool:
         return _crossing(state, self.region, self.label, entering=True)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            **self._base_dict(),
-            "region": self.region.to_dict(),
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TrackEnteredRegion":
-        label = data.get("label")
-        return cls(
-            region=Region.from_dict(data["region"]),
-            label=None if label is None else int(label),
-        )
-
 
 @_register("track_left_region")
 @dataclass(frozen=True)
@@ -348,21 +248,6 @@ class TrackLeftRegion(Prop):
 
     def evaluate(self, state: FrameState) -> bool:
         return _crossing(state, self.region, self.label, entering=False)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            **self._base_dict(),
-            "region": self.region.to_dict(),
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TrackLeftRegion":
-        label = data.get("label")
-        return cls(
-            region=Region.from_dict(data["region"]),
-            label=None if label is None else int(label),
-        )
 
 
 def _crossing(
@@ -403,13 +288,6 @@ class Not(Prop):
     def evaluate(self, state: FrameState) -> bool:
         return not self.prop.evaluate(state)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {**self._base_dict(), "prop": self.prop.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Not":
-        return cls(prop=prop_from_dict(data["prop"]))
-
 
 @_register("all_of")
 @dataclass(frozen=True)
@@ -429,13 +307,6 @@ class AllOf(Prop):
     def evaluate(self, state: FrameState) -> bool:
         return all(p.evaluate(state) for p in self.props)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {**self._base_dict(), "props": [p.to_dict() for p in self.props]}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AllOf":
-        return cls(props=tuple(prop_from_dict(p) for p in data["props"]))
-
 
 @_register("any_of")
 @dataclass(frozen=True)
@@ -454,10 +325,3 @@ class AnyOf(Prop):
 
     def evaluate(self, state: FrameState) -> bool:
         return any(p.evaluate(state) for p in self.props)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {**self._base_dict(), "props": [p.to_dict() for p in self.props]}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AnyOf":
-        return cls(props=tuple(prop_from_dict(p) for p in data["props"]))

@@ -36,18 +36,19 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.api.spec import JsonRoundTrip
-from repro.query.props import Prop, prop_from_dict
+from repro.query.codec import Codec, _register
+from repro.query.props import Prop
 
 QUERY_SPEC_FORMAT = "repro-query-spec/1"
 
 
-class TemporalExpr:
+class TemporalExpr(Codec):
     """Base class of the temporal operators."""
 
-    kind = "?"
-
-    def to_dict(self) -> Dict[str, Any]:
-        raise NotImplementedError
+    @classmethod
+    def _unknown_kind(cls, data: Dict[str, Any]) -> "TemporalExpr":
+        """A dict that names no temporal operator is a bare proposition."""
+        return Eventually(Prop.from_dict(data))
 
 
 StepLike = Union[TemporalExpr, Prop]
@@ -75,6 +76,7 @@ def _check_within(within: Optional[int]) -> Optional[int]:
     return within
 
 
+@_register("eventually")
 @dataclass(frozen=True)
 class Eventually(TemporalExpr):
     """``prop`` holds on some frame of the step's search window."""
@@ -89,10 +91,8 @@ class Eventually(TemporalExpr):
             )
         object.__setattr__(self, "within", _check_within(self.within))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "eventually", "prop": self.prop.to_dict(), "within": self.within}
 
-
+@_register("always")
 @dataclass(frozen=True)
 class Always(TemporalExpr):
     """``prop`` holds on ``frames`` consecutive frames."""
@@ -116,15 +116,8 @@ class Always(TemporalExpr):
                 f"{self.frames} frames"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "always",
-            "prop": self.prop.to_dict(),
-            "frames": self.frames,
-            "within": self.within,
-        }
 
-
+@_register("then")
 @dataclass(frozen=True)
 class Then(TemporalExpr):
     """The steps match strictly in order (sequencing operator)."""
@@ -137,9 +130,6 @@ class Then(TemporalExpr):
             raise ValueError(f"Then needs at least two steps, got {len(steps)}")
         object.__setattr__(self, "steps", steps)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "then", "steps": [s.to_dict() for s in self.steps]}
-
 
 def expr_from_dict(data: Dict[str, Any]) -> TemporalExpr:
     """Reconstruct a temporal expression from its tagged dict.
@@ -147,22 +137,11 @@ def expr_from_dict(data: Dict[str, Any]) -> TemporalExpr:
     A dict whose ``kind`` names a *proposition* is accepted as shorthand
     for ``Eventually(prop)``, mirroring the constructor coercion.
     """
-    kind = data.get("kind")
-    if kind == "eventually":
-        return Eventually(prop=prop_from_dict(data["prop"]), within=data.get("within"))
-    if kind == "always":
-        return Always(
-            prop=prop_from_dict(data["prop"]),
-            frames=data["frames"],
-            within=data.get("within"),
-        )
-    if kind == "then":
-        return Then(steps=tuple(expr_from_dict(s) for s in data["steps"]))
-    return Eventually(prop_from_dict(data))
+    return TemporalExpr.from_dict(data)
 
 
 @dataclass(frozen=True)
-class QuerySpec(JsonRoundTrip):
+class QuerySpec(Codec, JsonRoundTrip):
     """One named scenario query: a temporal expression plus metadata.
 
     ``name`` labels reports and sink records; it is part of the content
@@ -180,14 +159,12 @@ class QuerySpec(JsonRoundTrip):
         object.__setattr__(self, "expr", _as_step(self.expr) if not isinstance(self.expr, Then) else self.expr)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "format": QUERY_SPEC_FORMAT,
-            "name": self.name,
-            "expr": self.expr.to_dict(),
-        }
+        return {"format": QUERY_SPEC_FORMAT, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "QuerySpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"query spec must be a JSON object, got {type(data).__name__}")
         fmt = data.get("format", QUERY_SPEC_FORMAT)
         if fmt != QUERY_SPEC_FORMAT:
             raise ValueError(
@@ -195,4 +172,4 @@ class QuerySpec(JsonRoundTrip):
             )
         if "name" not in data or "expr" not in data:
             raise ValueError("query spec requires 'name' and 'expr'")
-        return cls(name=data["name"], expr=expr_from_dict(data["expr"]))
+        return super().from_dict(data)

@@ -447,6 +447,24 @@ class TestQueryCommand:
                      "--spec", str(path)]) == 2
         assert "bad query spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ({"kind": "not", "prop": 5}, "Not.prop: expected an object, got int"),
+            (
+                {"kind": "box_in_region", "region": [0, 0, 1, 1]},
+                "BoxInRegion.region: expected an object, got list",
+            ),
+            ({"kind": "then", "steps": 7}, "Then.steps: expected a list, got int"),
+        ],
+    )
+    def test_malformed_spec_is_a_usage_error(self, tmp_path, capsys, expr, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "expr": expr}))
+        assert main(["query", "catdet", "resnet50", "resnet10a",
+                     "--spec", str(path)]) == 2
+        assert f"error: bad query spec: {message}" in capsys.readouterr().err
+
     def test_offline_and_serve_print_identical_tables(
         self, tmp_path, capsys
     ):

@@ -425,6 +425,35 @@ class TestDecodeErrors:
         assert str(info.value) == message
 
 
+class TestMalformedJson:
+    """A value whose JSON shape does not fit its field is a ValueError
+    naming the field, never an AttributeError or TypeError."""
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ({"kind": "not", "prop": 5}, "Not.prop: expected an object, got int"),
+            (
+                {"kind": "box_in_region", "region": [0, 0, 1, 1]},
+                "BoxInRegion.region: expected an object, got list",
+            ),
+            ({"kind": "then", "steps": 7}, "Then.steps: expected a list, got int"),
+            (
+                {"kind": "all_of", "props": [{"kind": "class_present", "label": None}]},
+                "ClassPresent.label: expected a number, got NoneType",
+            ),
+        ],
+    )
+    def test_shape_mismatch_names_the_field(self, expr, message):
+        with pytest.raises(ValueError) as info:
+            QuerySpec.from_dict({"name": "bad", "expr": expr})
+        assert str(info.value) == message
+
+    def test_non_object_spec(self):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            QuerySpec.from_json("[1, 2]")
+
+
 class TestAutomaton:
     def test_eventually_earliest_completion(self):
         spec = QuerySpec("q", Eventually(SEEN))
