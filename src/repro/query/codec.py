@@ -1,8 +1,9 @@
 """One JSON codec for the query language, its windows and its reports.
 
 ``to_dict`` writes a dataclass's ``kind`` tag (if any), then each field in
-declaration order; ``from_dict`` rebuilds each field from its annotation,
-dispatching ``Prop``/``TemporalExpr`` fields on the one ``kind`` registry.
+declaration order; ``from_dict`` rebuilds each field from its annotation
+(a JSON int stays an int in a ``float`` field, so nothing re-hashes), and
+dispatches ``Prop``/``TemporalExpr`` fields on the one ``kind`` registry.
 Unknown keys are ignored, a missing field without a default raises
 ``KeyError``, and a value of the wrong JSON shape raises ``ValueError``
 naming the field.
@@ -114,6 +115,8 @@ def _decode(annotation: Any, value: Any, where: str) -> Any:
         _expect(value, dict, "an object", where)
         return annotation.from_dict(value)
     if annotation in (int, float):
+        if annotation is float and type(value) is int:
+            return value  # as written, so a spec re-hashes to its own fingerprint
         try:
             return annotation(value)
         except (TypeError, ValueError):

@@ -37,6 +37,7 @@ from repro.query import (
     Eventually,
     FramesOfInterest,
     Not,
+    Prop,
     QueryEvaluator,
     QueryReport,
     QuerySpec,
@@ -350,6 +351,24 @@ class TestPinnedBytes:
         obj, pinned = PINNED_BYTES[name]
         assert json.dumps(obj.to_dict()) == pinned
         assert decode_like(obj, json.loads(pinned)) == obj
+
+    @pytest.mark.parametrize("name", sorted(PINNED_BYTES))
+    def test_decode_keeps_the_bytes(self, name):
+        obj, pinned = PINNED_BYTES[name]
+        assert json.dumps(decode_like(obj, json.loads(pinned)).to_dict()) == pinned
+        if isinstance(obj, (Prop, TemporalExpr)):
+            spec = QuerySpec("pinned", obj)
+            assert QuerySpec.from_json(spec.to_json()).fingerprint == spec.fingerprint
+
+    def test_spec_fingerprint_survives_its_json(self):
+        from repro.__main__ import _example_query
+
+        example = _example_query()
+        assert example.fingerprint == (
+            "eb2325c848597619707f638aa19f88a5699e1a56b990c36c020dfbeb9684eb3c"
+        )
+        for spec in (example, EVERY_KIND):
+            assert QuerySpec.from_json(spec.to_json()).fingerprint == spec.fingerprint
 
     def test_every_kind_spec(self):
         assert list(EVERY_KIND.to_dict()) == ["format", "name", "expr"]
