@@ -472,7 +472,7 @@ class _EngineMetrics:
     ``perf_counter`` pair per stage plus a few histogram observes.
     """
 
-    __slots__ = ("frames", "stage_seconds", "modeled_seconds", "invocations")
+    __slots__ = ("frames", "stage_seconds", "modeled_seconds")
 
     def __init__(self, registry):
         self.frames = registry.counter(
@@ -485,10 +485,6 @@ class _EngineMetrics:
         self.modeled_seconds = registry.counter(
             "engine_modeled_seconds_total",
             "modeled device time accumulated (TimingAccountingStage output)",
-        )
-        self.invocations = registry.counter(
-            "engine_detector_invocations_total",
-            "detector invocations measured across the system's detectors",
         )
 
     def record_frame(self, ctx: "FrameContext") -> None:

@@ -36,11 +36,8 @@ def known_kinds(base: type) -> List[str]:
 
 class Codec:
     """``to_dict``/``from_dict`` of a dataclass, driven by its annotations.
-
-    On a kind-tagged base (a subclass that is not a dataclass),
-    ``from_dict`` decodes the registered subclass that ``kind`` names and
-    hands any other dict to the base's ``_unknown_kind``.
-    """
+    On a kind-tagged base (a subclass that is no dataclass), ``from_dict``
+    decodes the subclass ``kind`` names, or hands the dict to ``_unknown_kind``."""
 
     kind = None  # set by _register
 
@@ -69,8 +66,7 @@ class Codec:
 
 @functools.lru_cache(maxsize=None)
 def _schema(cls: type) -> Tuple[Tuple[str, Any, bool], ...]:
-    """``(name, annotation, required)`` per field, in declaration order;
-    only a field with a plain default may be missing on decode."""
+    """``(name, annotation, required)`` per field; only plain defaults are optional."""
     hints = typing.get_type_hints(cls)
     return tuple(
         (f.name, hints[f.name], f.default is dataclasses.MISSING)
