@@ -39,8 +39,9 @@ import os
 import sys
 import time
 
+from repro import schema
 from repro.api.session import Session
-from repro.api.spec import DatasetSpec, EvalSpec, ExecSpec, ExperimentSpec
+from repro.api.spec import DatasetSpec, EvalSpec, ExecSpec, ExperimentSpec, ServeSpec
 from repro.core.config import SystemConfig
 from repro.harness.configs import table2_specs, table6_specs
 from repro.harness.sweeps import cthresh_sweep
@@ -265,84 +266,8 @@ def cmd_spec(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serving_sections(args: argparse.Namespace) -> dict:
-    """The deployment sections serve and fleet specs share, from the
-    serving flags a command has: the dataset and load (every serving
-    command), the system (when it names one) and the policy (when it has
-    policy flags; otherwise the default policy applies)."""
-    from repro.serve.loadgen import LoadSpec
-    from repro.serve.server import ServePolicy
-
-    sections = dict(
-        dataset=DatasetSpec(
-            args.dataset,
-            num_sequences=args.sequences,
-            frames_per_sequence=args.seq_frames,
-        ),
-        load=LoadSpec(
-            pattern=args.pattern,
-            num_streams=args.streams,
-            rate_hz=args.rate,
-            frames_per_stream=args.frames,
-            seed=args.load_seed,
-            rates=args.rate_per_stream,
-        ),
-    )
-    if hasattr(args, "kind"):
-        sections["system"] = SystemConfig(
-            args.kind,
-            args.refinement,
-            args.proposal,
-            c_thresh=args.c_thresh,
-            seed=args.seed,
-            detailed_ops=False,  # throughput path: skip Table-3 extras
-        )
-    if hasattr(args, "batch_size"):
-        sections["policy"] = ServePolicy(
-            max_batch_size=args.batch_size,
-            max_wait_ms=args.max_wait_ms,
-            queue_capacity=args.queue_capacity,
-            shed_policy=args.shed,
-            slo_ms=args.slo_ms,
-        )
-    return sections
-
-
-def _serve_spec_from_args(args: argparse.Namespace):
-    from repro.api.spec import ServeSpec
-    from repro.serve.server import ServiceModel
-
-    service = None
-    if args.overhead_ms is not None or args.gops is not None:
-        # Explicit uncalibrated rates; ServeSpec rejects combining them
-        # with --device (the profile is what calibrates the model).
-        service = ServiceModel(
-            invocation_overhead_ms=args.overhead_ms,
-            gops_per_second=args.gops,
-        )
-    return ServeSpec(**_serving_sections(args), service=service, device=args.device)
-
-
-def _grid_type(convert):
-    """An argparse ``type=`` callback parsing \"1,2,4\"-style grids."""
-
-    def parse(text: str):
-        try:
-            values = tuple(convert(v) for v in text.split(",") if v.strip())
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid grid {text!r} (expected comma-separated "
-                f"{convert.__name__} values)"
-            ) from None
-        if not values:
-            raise argparse.ArgumentTypeError(f"empty grid {text!r}")
-        return values
-
-    return parse
-
-
 def _csv(values) -> str:
-    """``values`` as the comma-separated grid :func:`_grid_type` parses."""
+    """``values`` as the comma-separated grid :func:`repro.schema.grid_type` parses."""
     return ",".join(f"{v:g}" for v in values)
 
 
@@ -434,7 +359,7 @@ def _serve_into_sink(args: argparse.Namespace, session: Session, spec, metrics=N
 
 def cmd_serve(args: argparse.Namespace) -> int:
     try:
-        spec = _serve_spec_from_args(args)
+        spec = schema.from_flags(ServeSpec, args)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -522,11 +447,10 @@ def cmd_table7(args: argparse.Namespace) -> int:
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.serve.loadgen import generate_load, schedule_to_dicts
+    from repro.serve.loadgen import LoadSpec, generate_load, schedule_to_dicts
 
-    sections = _serving_sections(args)
-    load = sections["load"]
-    requests = generate_load(load, _session(args).dataset(sections["dataset"]))
+    load = schema.from_flags(LoadSpec, args)
+    requests = generate_load(load, _session(args).dataset(schema.from_flags(DatasetSpec, args)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(
@@ -558,35 +482,15 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fleet_spec_from_args(args: argparse.Namespace):
-    from repro.fleet import AutoscalerPolicy, FleetSpec
+def _fleet_spec(args: argparse.Namespace):
+    from repro.fleet import FleetSpec
 
-    autoscaler = None
-    if getattr(args, "autoscale", False):
-        # The controller defends --slo-p99-ms when given (the same number
-        # the acceptance gate checks), else the policy's own SLO.
-        budget = args.slo_p99_ms if args.slo_p99_ms is not None else args.slo_ms
-        autoscaler = AutoscalerPolicy(
-            min_replicas=args.min_replicas,
-            max_replicas=args.max_replicas,
-            interval_s=args.interval_s,
-            cooldown_s=args.cooldown_s,
-            slo_p99_ms=budget,
-            scale_out_wait_share=args.scale_out_wait_share,
-            scale_in_occupancy=args.scale_in_occupancy,
-        )
-    return FleetSpec(
-        **_serving_sections(args),
-        replicas=args.replicas,
-        devices=args.devices,
-        placement=args.placement,
-        autoscaler=autoscaler,
-    )
+    return schema.from_flags(FleetSpec, args)
 
 
 def cmd_fleet_run(args: argparse.Namespace) -> int:
     try:
-        spec = _fleet_spec_from_args(args)
+        spec = _fleet_spec(args)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -639,7 +543,7 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
 
 def cmd_fleet_tune(args: argparse.Namespace) -> int:
     try:
-        spec = _fleet_spec_from_args(args)
+        spec = _fleet_spec(args)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -723,15 +627,13 @@ def cmd_query(args: argparse.Namespace) -> int:
         print(f"error: bad query spec: {exc}", file=sys.stderr)
         return 2
 
-    sections = _serving_sections(args)
-    system, dataset_spec = sections["system"], sections["dataset"]
+    system = schema.from_flags(SystemConfig, args)
+    dataset_spec = schema.from_flags(DatasetSpec, args)
     session = _session(args)
 
     if args.serve:
         # Online: per-stream evaluators inside the micro-batched server.
-        from repro.api.spec import ServeSpec
-
-        spec = ServeSpec(**sections, query=query)
+        spec = schema.from_flags(ServeSpec, args, query=query)
         report = _serve_into_sink(args, session, spec)
         if report is None:
             return 2
@@ -771,56 +673,33 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
-    """Load-shape flags shared by ``serve`` and ``loadgen``."""
-    from repro.serve.loadgen import LOAD_PATTERNS
-
-    parser.add_argument("--dataset", default="kitti",
-                        help="registered dataset family supplying the streams")
-    parser.add_argument("--streams", type=int, default=4,
-                        help="concurrent camera streams")
-    parser.add_argument("--pattern", choices=LOAD_PATTERNS.names(),
-                        default="poisson", help="arrival pattern")
-    parser.add_argument("--rate", type=float, default=15.0,
-                        help="per-stream arrival rate in frames/s "
-                        "(replay uses the sequence's native fps)")
-    parser.add_argument("--frames", type=int, default=60,
-                        help="frames offered per stream")
-    parser.add_argument("--sequences", type=int, default=None,
-                        help="dataset sequences to generate (default: "
-                        "the family's own default)")
-    parser.add_argument("--seq-frames", type=int, default=None,
-                        help="frames per generated sequence")
-    parser.add_argument("--load-seed", type=int, default=0,
-                        help="arrival-schedule seed (stochastic patterns)")
-    parser.add_argument("--rate-per-stream", type=_grid_type(float),
-                        default=None, metavar="R0,R1,...",
-                        help="heterogeneous per-stream rates in frames/s "
-                        "(stream i uses rate i mod len; overrides --rate)")
+#: The spec flags of each group, in ``--help`` order; what each flag
+#: means (type, default, help) is declared on its spec field.
+_SYSTEM_FLAGS = ("kind", "refinement", "proposal", "--c-thresh", "--seed")
+_LOAD_FLAGS = (
+    "--dataset", "--streams", "--pattern", "--rate", "--frames", "--sequences",
+    "--seq-frames", "--load-seed", "--rate-per-stream",
+)
+_POLICY_FLAGS = ("--batch-size", "--max-wait-ms", "--queue-capacity", "--shed", "--slo-ms")
+_SERVICE_FLAGS = ("--device", "--overhead-ms", "--gops")
+_FLEET_FLAGS = ("--replicas", "--devices", "--placement")
+_AUTOSCALER_FLAGS = (
+    "--autoscale", "--min-replicas", "--max-replicas", "--interval-s", "--cooldown-s",
+    "--scale-out-wait-share", "--scale-in-occupancy",
+)
 
 
-def _add_deployment_flags(parser: argparse.ArgumentParser) -> None:
-    """The system, load and policy flags every deployment spec shares
-    (``serve``, ``fleet run``, ``fleet tune``; see :func:`_serving_sections`)."""
-    from repro.api.registry import SYSTEMS
+def _add_spec_flags(parser: argparse.ArgumentParser, *groups, optional=False) -> None:
+    """Add the spec flags of ``groups``; ``optional`` makes every
+    positional optional (``repro query --example`` names no system)."""
+    from repro.fleet import FleetSpec
 
-    parser.add_argument("kind", choices=SYSTEMS.names())
-    parser.add_argument("refinement")
-    parser.add_argument("proposal", nargs="?", default=None)
-    parser.add_argument("--c-thresh", type=float, default=0.1)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="detector-simulation seed")
-    _add_serve_flags(parser)
-    parser.add_argument("--batch-size", type=int, default=8,
-                        help="micro-batch flush size per replica (1 = unbatched)")
-    parser.add_argument("--max-wait-ms", type=float, default=25.0,
-                        help="max coalescing delay for the oldest ready frame")
-    parser.add_argument("--queue-capacity", type=int, default=64,
-                        help="per-replica admission queue bound before shedding")
-    parser.add_argument("--shed", choices=("oldest", "newest"), default="oldest",
-                        help="which frame to drop when a replica queue overflows")
-    parser.add_argument("--slo-ms", type=float, default=200.0,
-                        help="end-to-end latency objective")
+    table = schema.flags(ServeSpec, FleetSpec)
+    for name in (name for group in groups for name in group):
+        kwargs = table[name]
+        if optional and not name.startswith("-"):
+            kwargs = {**kwargs, "nargs": "?", "default": None}
+        parser.add_argument(name, **kwargs)
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
@@ -1169,20 +1048,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p = sub.add_parser(
         "serve", help="micro-batched multi-stream serving with an SLO report"
     )
-    _add_deployment_flags(serve_p)
-    from repro.cost import DEVICE_PROFILES
+    _add_spec_flags(serve_p, _SYSTEM_FLAGS, _LOAD_FLAGS, _POLICY_FLAGS, _SERVICE_FLAGS)
     from repro.fleet.tune import DEFAULT_REPLICA_COUNTS
     from repro.serve.tune import DEFAULT_BATCH_SIZES, DEFAULT_MAX_WAITS_MS
 
-    serve_p.add_argument("--device", choices=DEVICE_PROFILES.names(), default=None,
-                         help="calibrated device profile the service model is "
-                         "derived from (default: abstract)")
-    serve_p.add_argument("--overhead-ms", type=float, default=None,
-                         help="explicit fixed cost per batched detector "
-                         "invocation (incompatible with --device)")
-    serve_p.add_argument("--gops", type=float, default=None,
-                         help="explicit accelerator throughput in Gops/s "
-                         "(incompatible with --device)")
     serve_p.add_argument("--tune", action="store_true",
                          help="sweep (batch size, max wait) policies and pick "
                          "the cheapest one meeting --slo-p99-ms")
@@ -1196,10 +1065,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--sink", default=None, metavar="SPEC",
                          help="stream per-frame/shed/summary records to a "
                          "result sink: jsonl:<path>, table, or null")
-    serve_p.add_argument("--batch-grid", type=_grid_type(int), default=None,
+    serve_p.add_argument("--batch-grid", type=schema.grid_type(int), default=None,
                          help="comma-separated max_batch_size grid for --tune "
                          f"(default: {_csv(DEFAULT_BATCH_SIZES)})")
-    serve_p.add_argument("--wait-grid", type=_grid_type(float), default=None,
+    serve_p.add_argument("--wait-grid", type=schema.grid_type(float), default=None,
                          help="comma-separated max_wait_ms grid for --tune "
                          f"(default: {_csv(DEFAULT_MAX_WAITS_MS)})")
     serve_p.add_argument("--workers", type=_workers_count, default=1,
@@ -1216,17 +1085,12 @@ def build_parser() -> argparse.ArgumentParser:
     query_p = sub.add_parser(
         "query", help="scenario query: temporal-logic event search over streams"
     )
-    query_p.add_argument("kind", nargs="?", default=None, choices=SYSTEMS.names())
-    query_p.add_argument("refinement", nargs="?", default=None)
-    query_p.add_argument("proposal", nargs="?", default=None)
-    query_p.add_argument("--c-thresh", type=float, default=0.1)
-    query_p.add_argument("--seed", type=int, default=0,
-                         help="detector-simulation seed")
+    _add_spec_flags(query_p, _SYSTEM_FLAGS, optional=True)
     query_p.add_argument("--spec", default=None, metavar="FILE",
                          help="query spec JSON file (see --example)")
     query_p.add_argument("--example", action="store_true",
                          help="print a template query spec and exit")
-    _add_serve_flags(query_p)
+    _add_spec_flags(query_p, _LOAD_FLAGS)
     query_p.add_argument("--serve", action="store_true",
                          help="evaluate online inside the micro-batched "
                          "server instead of offline replay (same windows "
@@ -1245,14 +1109,11 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen_p = sub.add_parser(
         "loadgen", help="generate an open-loop arrival schedule over a dataset"
     )
-    _add_serve_flags(loadgen_p)
+    _add_spec_flags(loadgen_p, _LOAD_FLAGS)
     loadgen_p.add_argument("--out", default=None,
                            help="write the schedule as JSON to this path")
     _add_cache_flags(loadgen_p)
     loadgen_p.set_defaults(func=cmd_loadgen)
-
-    from repro.fleet import AutoscalerPolicy as _AS
-    from repro.fleet.router import PLACEMENT_POLICIES
 
     fleet_p = sub.add_parser(
         "fleet",
@@ -1262,43 +1123,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _add_fleet_flags(p: argparse.ArgumentParser) -> None:
         """System, load, policy and fleet-shape flags shared by run/tune."""
-        _add_deployment_flags(p)
-        p.add_argument("--replicas", type=int, default=2,
-                       help="initial replica count (the static count "
-                       "without --autoscale)")
-        p.add_argument("--devices", type=_grid_type(str),
-                       default=("abstract",), metavar="DEV0,DEV1,...",
-                       help="device-profile cycle: spawned replica i runs on "
-                       "devices[i %% len] (one name = homogeneous fleet)")
-        p.add_argument("--placement", choices=PLACEMENT_POLICIES.names(),
-                       default="least_loaded",
-                       help="policy routing new streams to replicas "
-                       "(sticky thereafter)")
+        _add_spec_flags(p, _SYSTEM_FLAGS, _LOAD_FLAGS, _POLICY_FLAGS, _FLEET_FLAGS)
         _add_cache_flags(p)
 
     fleet_run_p = fleet_sub.add_parser(
         "run", help="serve the offered load over a (possibly autoscaled) fleet"
     )
     _add_fleet_flags(fleet_run_p)
-    fleet_run_p.add_argument("--autoscale", action="store_true",
-                             help="enable the metrics-driven replica-count "
-                             "control loop")
-    fleet_run_p.add_argument("--min-replicas", type=int, default=_AS.min_replicas,
-                             help="autoscaler lower bound")
-    fleet_run_p.add_argument("--max-replicas", type=int, default=_AS.max_replicas,
-                             help="autoscaler upper bound")
-    fleet_run_p.add_argument("--interval-s", type=float, default=_AS.interval_s,
-                             help="control-tick period (simulated seconds)")
-    fleet_run_p.add_argument("--cooldown-s", type=float, default=_AS.cooldown_s,
-                             help="minimum time between scale actions")
-    fleet_run_p.add_argument("--scale-out-wait-share", type=float,
-                             default=_AS.scale_out_wait_share,
-                             help="budget share the windowed queue-wait p95 "
-                             "may consume before scaling out")
-    fleet_run_p.add_argument("--scale-in-occupancy", type=float,
-                             default=_AS.scale_in_occupancy,
-                             help="windowed mean batch size below this "
-                             "fraction of --batch-size scales in")
+    _add_spec_flags(fleet_run_p, _AUTOSCALER_FLAGS)
     fleet_run_p.add_argument("--slo-p99-ms", type=float, default=None,
                              help="fleet p99 acceptance gate (exit 1 on a "
                              "miss, any shed frame, or a dead stream); with "
@@ -1322,16 +1154,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fleet_flags(fleet_tune_p)
     fleet_tune_p.add_argument("--slo-p99-ms", type=float, required=True,
                               help="fleet p99 feasibility target")
-    fleet_tune_p.add_argument("--replica-grid", type=_grid_type(int),
+    fleet_tune_p.add_argument("--replica-grid", type=schema.grid_type(int),
                               default=None, metavar="N0,N1,...",
                               help="replica-count axis (default: "
                               f"{_csv(DEFAULT_REPLICA_COUNTS)})")
     fleet_tune_p.add_argument("--device-mix", action="append",
-                              type=_grid_type(str), default=None,
+                              type=schema.grid_type(str), default=None,
                               metavar="DEV0,DEV1,...",
                               help="a device-cycle axis point; repeat the "
                               "flag per mix (default: just --devices)")
-    fleet_tune_p.add_argument("--batch-grid", type=_grid_type(int),
+    fleet_tune_p.add_argument("--batch-grid", type=schema.grid_type(int),
                               default=None, metavar="B0,B1,...",
                               help="max_batch_size axis (default: just "
                               "--batch-size)")

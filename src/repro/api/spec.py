@@ -15,57 +15,27 @@ byte-identical at any worker count.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
-from typing import Any, ClassVar, Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, Optional, Tuple
 
-from repro.core.config import SystemConfig, config_from_dict, config_to_dict
+from repro import schema
+from repro.core.config import SystemConfig
+from repro.cost import DEVICE_PROFILES
 from repro.metrics.kitti_eval import DIFFICULTIES
+from repro.schema import JsonRoundTrip, content_digest
+
+if TYPE_CHECKING:  # they import this module; the schema resolves them lazily
+    from repro.query.spec import QuerySpec
+    from repro.serve.loadgen import LoadSpec
+    from repro.serve.server import ServePolicy, ServiceModel
 
 SPEC_FORMAT = "repro-spec/1"
 
 _AP_METHODS = ("r40", "voc11")
 
 
-def content_digest(payload: Any) -> str:
-    """sha256 of ``payload``'s canonical JSON (sorted keys, no spaces)."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-class FlatSection:
-    """``to_dict``/``from_dict`` of a spec section whose fields are all
-    plain JSON values, serialized under their own names in field order."""
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {name: getattr(self, name) for name in _field_names(type(self))}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]):
-        return cls(**_known_fields(cls, data))
-
-
-class JsonRoundTrip:
-    """``to_json``/``from_json`` over a spec's ``to_dict``/``from_dict``,
-    and the content fingerprint that keys its cached result."""
-
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_dict(json.loads(text))
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable content address: :func:`content_digest` of :meth:`to_dict`."""
-        return content_digest(self.to_dict())
-
-
 @dataclass(frozen=True)
-class DatasetSpec(FlatSection):
+class DatasetSpec(schema.Schema):
     """Which evaluation data to generate.
 
     Parameters
@@ -78,22 +48,27 @@ class DatasetSpec(FlatSection):
         Size and world seed; ``None`` defers to the family's defaults.
     """
 
-    family: str = "kitti"
-    num_sequences: Optional[int] = None
-    frames_per_sequence: Optional[int] = None
+    family: str = schema.field(
+        "kitti",
+        "--dataset",
+        "registered dataset family supplying the streams",
+        must="be a non-empty string",
+    )
+    num_sequences: Optional[int] = schema.field(
+        None,
+        "--sequences",
+        "dataset sequences to generate (default: the family's own default)",
+        must="be >= 1",
+    )
+    frames_per_sequence: Optional[int] = schema.field(
+        None, "--seq-frames", "frames per generated sequence", must="be >= 1"
+    )
     seed: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if not self.family or not isinstance(self.family, str):
-            raise ValueError(f"family must be a non-empty string, got {self.family!r}")
-        for name in ("num_sequences", "frames_per_sequence"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
-class EvalSpec(FlatSection):
+class EvalSpec(schema.Schema):
     """How to score a run.
 
     Parameters
@@ -110,8 +85,8 @@ class EvalSpec(FlatSection):
     """
 
     difficulties: Tuple[str, ...] = ("moderate", "hard")
-    ap_method: str = "r40"
-    delay_beta: float = 0.8
+    ap_method: str = schema.field("r40", choices=_AP_METHODS)
+    delay_beta: float = schema.field(0.8, must="lie in (0, 1]")
     with_delay: bool = True
 
     def __post_init__(self) -> None:
@@ -123,18 +98,6 @@ class EvalSpec(FlatSection):
                 raise ValueError(
                     f"unknown difficulty {name!r}; known: {tuple(sorted(DIFFICULTIES))}"
                 )
-        if self.ap_method not in _AP_METHODS:
-            raise ValueError(f"ap_method must be one of {_AP_METHODS}, got {self.ap_method!r}")
-        if not (0.0 < self.delay_beta <= 1.0):
-            raise ValueError(f"delay_beta must lie in (0, 1], got {self.delay_beta}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "difficulties": list(self.difficulties),
-            "ap_method": self.ap_method,
-            "delay_beta": self.delay_beta,
-            "with_delay": self.with_delay,
-        }
 
     def result_key_dict(self) -> Dict[str, Any]:
         """The subset of fields that change the *stored* result.
@@ -147,7 +110,7 @@ class EvalSpec(FlatSection):
 
 
 @dataclass(frozen=True)
-class ExecSpec(FlatSection):
+class ExecSpec(schema.Schema):
     """How to execute a run — never affects the numbers, only the speed.
 
     Parameters
@@ -164,59 +127,35 @@ class ExecSpec(FlatSection):
         (``"multihost"``); local executors ignore it.
     """
 
-    executor: str = "auto"
-    workers: int = 1
+    executor: str = schema.field("auto", must="be a non-empty string")
+    workers: int = schema.field(1, must="be >= 0")
     queue_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not self.executor or not isinstance(self.executor, str):
-            raise ValueError(f"executor must be a non-empty string, got {self.executor!r}")
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.queue_dir is not None and not isinstance(self.queue_dir, str):
             raise ValueError(f"queue_dir must be a string path, got {self.queue_dir!r}")
 
 
 @dataclass(frozen=True)
 class ExperimentSpec(JsonRoundTrip):
-    """One fully-described experiment: system + data + scoring + execution."""
+    """One fully-described experiment: system + data + scoring + execution.
+
+    Its top level ignores unknown keys; its sections reject them."""
+
+    STRICT = False
+    FORMAT = SPEC_FORMAT
+    NOUN = "spec"
+    MISSING_MESSAGE = "spec is missing the required 'system' section"
 
     system: SystemConfig
-    dataset: DatasetSpec = field(default_factory=DatasetSpec)
-    eval: EvalSpec = field(default_factory=EvalSpec)
-    exec: ExecSpec = field(default_factory=ExecSpec)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.system, SystemConfig):
-            raise TypeError(f"system must be a SystemConfig, got {type(self.system).__name__}")
+    dataset: DatasetSpec = schema.field(default_factory=DatasetSpec)
+    eval: EvalSpec = schema.field(default_factory=EvalSpec)
+    exec: ExecSpec = schema.field(default_factory=ExecSpec)
 
     @property
     def label(self) -> str:
         """The system's table label plus the dataset family."""
         return f"{self.system.label} @ {self.dataset.family}"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "format": SPEC_FORMAT,
-            "system": config_to_dict(self.system),
-            "dataset": self.dataset.to_dict(),
-            "eval": self.eval.to_dict(),
-            "exec": self.exec.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExperimentSpec":
-        fmt = data.get("format", SPEC_FORMAT)
-        if fmt != SPEC_FORMAT:
-            raise ValueError(f"unsupported spec format {fmt!r}, expected {SPEC_FORMAT!r}")
-        if "system" not in data:
-            raise ValueError("spec is missing the required 'system' section")
-        return cls(
-            system=config_from_dict(data["system"]),
-            dataset=DatasetSpec.from_dict(data.get("dataset", {})),
-            eval=EvalSpec.from_dict(data.get("eval", {})),
-            exec=ExecSpec.from_dict(data.get("exec", {})),
-        )
 
     @property
     def fingerprint(self) -> str:
@@ -231,7 +170,7 @@ class ExperimentSpec(JsonRoundTrip):
         """
         payload = {
             "format": SPEC_FORMAT,
-            "system": config_to_dict(self.system),
+            "system": self.system.to_dict(),
             "dataset": self.dataset.to_dict(),
             "eval": self.eval.result_key_dict(),
         }
@@ -260,21 +199,6 @@ class ExperimentSpec(JsonRoundTrip):
         return self.with_system(device=device)
 
 
-@lru_cache(maxsize=None)
-def _field_names(cls: type) -> Tuple[str, ...]:
-    """A dataclass's field names (``fields`` rebuilds them on every call,
-    and sections are serialized on every fingerprint)."""
-    return tuple(f.name for f in fields(cls))
-
-
-def _known_fields(cls, data: Dict[str, Any]) -> Dict[str, Any]:
-    known = set(cls.__dataclass_fields__)
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    return dict(data)
-
-
 # --------------------------------------------------------------------- #
 # Serving specs
 # --------------------------------------------------------------------- #
@@ -300,45 +224,35 @@ class DeploymentSpec(JsonRoundTrip):
     result-affecting and the fingerprint hashes the whole :meth:`to_dict`
     (the same deployment under a different query is a different report).
 
-    A subclass names its ``FORMAT`` and ``KIND`` and adds its own
-    sections as dataclass fields, serialized by ``_fields_dict()`` and
-    read back by ``_fields_from_dict(data)``.  ``knobs`` spells the knobs
-    a tune of its kind varies, ``_store_cls()`` is its
+    Every spec serializes through :mod:`repro.schema`: the sections in
+    field order, a subclass's own fields after ``policy`` and the
+    keyword-only ``query`` last.  A subclass names its ``KIND``, its
+    ``FORMAT`` tag and the messages of a foreign tag (``NOUN``) and of a
+    missing ``system`` section (``MISSING_MESSAGE``), and adds its own
+    sections as dataclass fields.  ``knobs`` spells the knobs a tune of
+    its kind varies, ``_store_cls()`` is its
     :class:`~repro.serve.server.ReportStore` and ``_server(**options)``
     builds its live server (``options``: ``metrics``, ``sinks``,
     ``trace``, ``record_trace``).
     """
 
-    FORMAT: ClassVar[str] = ""
+    STRICT = False
+    SCHEMA_IMPORTS = ("repro.query.spec", "repro.serve.loadgen", "repro.serve.server")
     KIND: ClassVar[str] = ""
 
     system: SystemConfig
-    dataset: DatasetSpec = field(default_factory=DatasetSpec)
-    load: "Any" = None
-    policy: "Any" = None
-    query: "Any" = field(default=None, kw_only=True)
+    dataset: DatasetSpec = schema.field(default_factory=DatasetSpec)
+    load: Optional[LoadSpec] = None  # None: the default section
+    policy: Optional[ServePolicy] = None
+    query: Optional[QuerySpec] = schema.field(None, kw_only=True)
 
     def __post_init__(self) -> None:
-        from repro.query.spec import QuerySpec
         from repro.serve.loadgen import LoadSpec
         from repro.serve.server import ServePolicy
 
-        if not isinstance(self.system, SystemConfig):
-            raise TypeError(
-                f"system must be a SystemConfig, got {type(self.system).__name__}"
-            )
         for name, cls in (("load", LoadSpec), ("policy", ServePolicy)):
-            value = getattr(self, name)
-            if value is None:
+            if getattr(self, name) is None:
                 object.__setattr__(self, name, cls())
-            elif not isinstance(value, cls):
-                raise TypeError(
-                    f"{name} must be a {cls.__name__}, got {type(value).__name__}"
-                )
-        if self.query is not None and not isinstance(self.query, QuerySpec):
-            raise TypeError(
-                f"query must be a QuerySpec, got {type(self.query).__name__}"
-            )
 
     #: What :attr:`label` puts between the system and the dataset.
     _shape: ClassVar[str] = ""
@@ -348,43 +262,6 @@ class DeploymentSpec(JsonRoundTrip):
         return (
             f"{self.system.label}{self._shape} @ {self.dataset.family} "
             f"x{self.load.num_streams} {self.load.pattern}"
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "format": self.FORMAT,
-            "system": config_to_dict(self.system),
-            "dataset": self.dataset.to_dict(),
-            "load": self.load.to_dict(),
-            "policy": self.policy.to_dict(),
-            **self._fields_dict(),
-            "query": None if self.query is None else self.query.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "DeploymentSpec":
-        from repro.query.spec import QuerySpec
-        from repro.serve.loadgen import LoadSpec
-        from repro.serve.server import ServePolicy
-
-        fmt = data.get("format", cls.FORMAT)
-        if fmt != cls.FORMAT:
-            raise ValueError(
-                f"unsupported {cls.KIND}-spec format {fmt!r}, expected {cls.FORMAT!r}"
-            )
-        if "system" not in data:
-            raise ValueError(f"{cls.KIND} spec is missing the required 'system' section")
-        return cls(
-            system=config_from_dict(data["system"]),
-            dataset=DatasetSpec.from_dict(data.get("dataset", {})),
-            load=LoadSpec.from_dict(data.get("load", {})),
-            policy=ServePolicy.from_dict(data.get("policy", {})),
-            query=(
-                None
-                if data.get("query") is None
-                else QuerySpec.from_dict(data["query"])
-            ),
-            **cls._fields_from_dict(data),
         )
 
 
@@ -410,11 +287,18 @@ class ServeSpec(DeploymentSpec):
     fallback so offline timing and serving simulate the same hardware.
     """
 
-    FORMAT: ClassVar[str] = SERVE_SPEC_FORMAT
+    FORMAT = SERVE_SPEC_FORMAT
+    NOUN = "serve spec"
+    MISSING_MESSAGE = "serve spec is missing the required 'system' section"
     KIND: ClassVar[str] = "serve"
 
-    service: "Any" = None
-    device: Optional[str] = None
+    service: Optional[ServiceModel] = None
+    device: Optional[str] = schema.field(
+        None,
+        "--device",
+        "calibrated device profile the service model is derived from (default: abstract)",
+        choices=DEVICE_PROFILES.names,
+    )
 
     def __post_init__(self) -> None:
         from repro.serve.server import ServiceModel
@@ -426,10 +310,6 @@ class ServeSpec(DeploymentSpec):
             device = self.device or self.system.device or "abstract"
             object.__setattr__(self, "service", ServiceModel.for_device(device))
             object.__setattr__(self, "device", device)
-        elif not isinstance(self.service, ServiceModel):
-            raise TypeError(
-                f"service must be a ServiceModel, got {type(self.service).__name__}"
-            )
         elif self.device is not None and self.device != self.service.device:
             raise ValueError(
                 f"ServeSpec got both an explicit service model and "
@@ -448,18 +328,6 @@ class ServeSpec(DeploymentSpec):
     @property
     def knobs(self) -> str:
         return f"batch={self.policy.max_batch_size} wait={self.policy.max_wait_ms:g}ms"
-
-    def _fields_dict(self) -> Dict[str, Any]:
-        return {"service": self.service.to_dict(), "device": self.device}
-
-    @classmethod
-    def _fields_from_dict(cls, data: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.serve.server import ServiceModel
-
-        return {
-            "service": ServiceModel.from_dict(data.get("service", {})),
-            "device": data.get("device"),
-        }
 
     @classmethod
     def _store_cls(cls) -> type:

@@ -12,9 +12,10 @@ third-party scenarios add their own with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from repro import schema
 from repro.api.registry import SYSTEMS, SystemEntry, register_system
 from repro.cost import DEVICE_PROFILES
 from repro.core.systems import (
@@ -27,7 +28,7 @@ from repro.tracker.catdet_tracker import TrackerConfig
 
 
 @dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(schema.Schema):
     """Description of one detection system.
 
     Parameters
@@ -66,19 +67,23 @@ class SystemConfig:
         ``"abstract"``, ...).  ``None`` (default) skips timing accounting
         entirely.  Part of the content fingerprint: runs on different
         modeled devices report different timing columns.
+
+    ``tracker`` is keyword-only, so it serializes last.  The flags name
+    the options of the serving commands; they build throughput systems
+    (``detailed_ops`` off).
     """
 
-    kind: str
-    refinement_model: str
-    proposal_model: Optional[str] = None
-    c_thresh: float = 0.1
-    tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    margin: float = 30.0
-    seed: int = 0
-    num_classes: int = 2
-    input_scale: float = 1.0
-    detailed_ops: bool = True
-    stride: Optional[int] = None
+    kind: str = schema.field(flag="kind", choices=SYSTEMS.names)
+    refinement_model: str = schema.field(flag="refinement")
+    proposal_model: Optional[str] = schema.field(None, "proposal")
+    c_thresh: float = schema.field(0.1, "--c-thresh", must="lie in [0, 1]")
+    tracker: TrackerConfig = schema.field(default_factory=TrackerConfig, kw_only=True)
+    margin: float = schema.field(30.0, must="be >= 0")
+    seed: int = schema.field(0, "--seed", "detector-simulation seed")
+    num_classes: int = schema.field(2, must="be >= 1")
+    input_scale: float = schema.field(1.0, must="be positive")
+    detailed_ops: bool = schema.field(True, cli=False)
+    stride: Optional[int] = schema.field(None, must="be >= 1")
     device: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -92,16 +97,6 @@ class SystemConfig:
             )
         if SYSTEMS.get(self.kind).requires_proposal and not self.proposal_model:
             raise ValueError(f"{self.kind!r} systems require a proposal_model")
-        if not (0.0 <= self.c_thresh <= 1.0):
-            raise ValueError(f"c_thresh must lie in [0, 1], got {self.c_thresh}")
-        if self.margin < 0:
-            raise ValueError(f"margin must be >= 0, got {self.margin}")
-        if self.num_classes < 1:
-            raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.input_scale <= 0:
-            raise ValueError(f"input_scale must be positive, got {self.input_scale}")
-        if self.stride is not None and self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
         if self.device is not None and self.device not in DEVICE_PROFILES:
             raise ValueError(
                 f"unknown device {self.device!r}; registered device "
@@ -135,50 +130,12 @@ def build_system(config: SystemConfig) -> DetectionSystem:
 
 def config_to_dict(config: SystemConfig) -> Dict[str, Any]:
     """``SystemConfig`` → plain JSON-safe dict (exact, lossless)."""
-    return {
-        "kind": config.kind,
-        "refinement_model": config.refinement_model,
-        "proposal_model": config.proposal_model,
-        "c_thresh": config.c_thresh,
-        "margin": config.margin,
-        "seed": config.seed,
-        "num_classes": config.num_classes,
-        "input_scale": config.input_scale,
-        "detailed_ops": config.detailed_ops,
-        "stride": config.stride,
-        "device": config.device,
-        "tracker": {
-            "eta": config.tracker.eta,
-            "iou_threshold": config.tracker.iou_threshold,
-            "input_score_threshold": config.tracker.input_score_threshold,
-            "match_gain": config.tracker.match_gain,
-            "miss_penalty": config.tracker.miss_penalty,
-            "max_confidence": config.tracker.max_confidence,
-            "initial_confidence": config.tracker.initial_confidence,
-            "min_prediction_width": config.tracker.min_prediction_width,
-            "min_visible_fraction": config.tracker.min_visible_fraction,
-            "motion_model": config.tracker.motion_model,
-        },
-    }
+    return config.to_dict()
 
 
 def config_from_dict(data: Dict[str, Any]) -> SystemConfig:
-    """Inverse of :func:`config_to_dict`.
-
-    Tolerates missing optional keys (they fall back to the dataclass
-    defaults) so older saved experiments still load.
-    """
-    payload = dict(data)
-    tracker_data = payload.pop("tracker", None) or {}
-    known_config = {f for f in SystemConfig.__dataclass_fields__ if f != "tracker"}
-    known_tracker = set(TrackerConfig.__dataclass_fields__)
-    unknown = (set(payload) - known_config) | (set(tracker_data) - known_tracker)
-    if unknown:
-        raise ValueError(f"unknown SystemConfig fields: {sorted(unknown)}")
-    return SystemConfig(
-        tracker=TrackerConfig(**tracker_data),
-        **{k: v for k, v in payload.items() if k in known_config},
-    )
+    """Inverse of :func:`config_to_dict`; a missing key takes its default."""
+    return SystemConfig.from_dict(data)
 
 
 # --------------------------------------------------------------------- #

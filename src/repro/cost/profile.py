@@ -38,11 +38,11 @@ Third-party scenarios register their own with :func:`register_device`::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Any, Dict, Union
+from typing import Union
 
 from repro.api.registry import Registry
+from repro.schema import JsonRoundTrip, field
 
 GIGA = 1e9
 
@@ -55,7 +55,7 @@ PROFILE_FORMAT = "repro-device-profile/1"
 
 
 @dataclass(frozen=True)
-class DeviceProfile:
+class DeviceProfile(JsonRoundTrip):
     """Calibrated constants of one device's ``T = alpha * W + b`` model.
 
     Parameters
@@ -81,27 +81,26 @@ class DeviceProfile:
         what matters is edge vs datacenter ratios, not absolute money).
         Fleet tuning divides allocated device-time priced at this rate
         by frames served to get cost-per-frame.
+
+    Serializes through :mod:`repro.schema` behind its ``FORMAT`` tag.
     """
 
-    name: str
-    alpha: float
+    FORMAT = PROFILE_FORMAT
+    NOUN = "device profile"
+
+    name: str = field(must="be a non-empty string")
+    alpha: float = field(must="be positive")
     base_crop_pixels: float = 400.0 * 400.0
     trunk_macs_per_pixel: float = 66_000.0
     cpu_frame_overhead: float = 0.0
     cpu_invocation_overhead: float = 0.0
-    cost_per_hour: float = 1.0
+    cost_per_hour: float = field(1.0, must="be positive")
 
     def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ValueError(f"name must be a non-empty string, got {self.name!r}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.base_crop_pixels < 0 or self.trunk_macs_per_pixel < 0:
             raise ValueError("workload parameters must be >= 0")
         if self.cpu_frame_overhead < 0 or self.cpu_invocation_overhead < 0:
             raise ValueError("CPU overheads must be >= 0")
-        if self.cost_per_hour <= 0:
-            raise ValueError(f"cost_per_hour must be positive, got {self.cost_per_hour}")
 
     # ------------------------------------------------------------------ #
     # Derived quantities (single definitions — consumers never recompute)
@@ -126,43 +125,6 @@ class DeviceProfile:
     def cost_per_second(self) -> float:
         """The hourly allocation price as a per-second rate."""
         return self.cost_per_hour / 3600.0
-
-    # ------------------------------------------------------------------ #
-    # JSON round trip
-    # ------------------------------------------------------------------ #
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "format": PROFILE_FORMAT,
-            "name": self.name,
-            "alpha": self.alpha,
-            "base_crop_pixels": self.base_crop_pixels,
-            "trunk_macs_per_pixel": self.trunk_macs_per_pixel,
-            "cpu_frame_overhead": self.cpu_frame_overhead,
-            "cpu_invocation_overhead": self.cpu_invocation_overhead,
-            "cost_per_hour": self.cost_per_hour,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "DeviceProfile":
-        fmt = data.get("format", PROFILE_FORMAT)
-        if fmt != PROFILE_FORMAT:
-            raise ValueError(
-                f"unsupported device-profile format {fmt!r}, expected {PROFILE_FORMAT!r}"
-            )
-        payload = {k: v for k, v in data.items() if k != "format"}
-        known = set(cls.__dataclass_fields__)
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown DeviceProfile fields: {sorted(unknown)}")
-        return cls(**payload)
-
-    def to_json(self, *, indent=None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DeviceProfile":
-        return cls.from_dict(json.loads(text))
 
 
 def profile_from_service_rates(

@@ -23,7 +23,7 @@ A :class:`FleetReport` is therefore a pure function of its
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core.systems import DetectionSystem
 from repro.fleet.autoscaler import Autoscaler
@@ -46,32 +46,26 @@ class FleetReport(ServedTotals):
     The :class:`~repro.serve.server.ServedTotals` fields plus the fleet's
     shape, billing and scaling history.  ``frame_results`` and
     ``wall_seconds`` follow the serve-report convention — live-run-only
-    evidence, excluded from :meth:`to_dict`.
+    evidence, left out of ``KEYS``.
     """
 
-    FORMAT: ClassVar[str] = FLEET_REPORT_FORMAT
+    FORMAT = FLEET_REPORT_FORMAT
+    KEYS = (
+        "policy", "devices", "placement", "autoscaler", "frames_offered",
+        "frames_served", "frames_shed", "batches", "invocations", "mean_batch_size",
+        "makespan_seconds", "compute_seconds", "replica_seconds", "cost",
+        "cost_per_frame", "throughput_fps", "utilization", "slo", "replicas",
+        "scale_events", "dead_streams", "query_windows",
+    )
 
     devices: List[str]
     placement: str
-    autoscaler: Optional[Dict[str, Any]]
+    autoscaler: Optional[Dict[str, Any]] = None
     replica_seconds: float
     cost: float
     replicas: List[Dict[str, Any]] = field(default_factory=list)
     scale_events: List[Dict[str, Any]] = field(default_factory=list)
     dead_streams: List[str] = field(default_factory=list)
-
-    @classmethod
-    def _fields_from_dict(cls, data: Dict[str, Any]) -> Dict[str, Any]:
-        return {
-            "devices": list(data["devices"]),
-            "placement": data["placement"],
-            "autoscaler": data.get("autoscaler"),
-            "replica_seconds": data["replica_seconds"],
-            "cost": data["cost"],
-            "replicas": list(data.get("replicas", [])),
-            "scale_events": list(data.get("scale_events", [])),
-            "dead_streams": list(data.get("dead_streams", [])),
-        }
 
     @property
     def cost_per_frame(self) -> float:
@@ -99,33 +93,6 @@ class FleetReport(ServedTotals):
     @property
     def peak_replicas(self) -> int:
         return len(self.replicas)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "format": FLEET_REPORT_FORMAT,
-            "policy": self.policy.to_dict(),
-            "devices": list(self.devices),
-            "placement": self.placement,
-            "autoscaler": self.autoscaler,
-            "frames_offered": self.frames_offered,
-            "frames_served": self.frames_served,
-            "frames_shed": self.frames_shed,
-            "batches": self.batches,
-            "invocations": self.invocations,
-            "mean_batch_size": self.mean_batch_size,
-            "makespan_seconds": self.makespan_seconds,
-            "compute_seconds": self.compute_seconds,
-            "replica_seconds": self.replica_seconds,
-            "cost": self.cost,
-            "cost_per_frame": self.cost_per_frame,
-            "throughput_fps": self.throughput_fps,
-            "utilization": self.utilization,
-            "slo": self.slo,
-            "replicas": self.replicas,
-            "scale_events": self.scale_events,
-            "dead_streams": list(self.dead_streams),
-            "query_windows": self.query_windows,
-        }
 
     def format(self) -> str:
         """Human-readable fleet report: replicas, latency, scale history."""

@@ -18,15 +18,17 @@ replica count x device mix x batch policy) nearly free on revisits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Optional, Tuple
+from typing import Any, ClassVar, Optional, Tuple
 
-from repro.api.spec import DeploymentSpec, FlatSection, JsonRoundTrip
+from repro import schema
+from repro.api.spec import DeploymentSpec, JsonRoundTrip
+from repro.fleet.router import PLACEMENT_POLICIES
 
 FLEET_SPEC_FORMAT = "repro-fleet-spec/1"
 
 
 @dataclass(frozen=True)
-class AutoscalerPolicy(FlatSection):
+class AutoscalerPolicy(schema.Schema):
     """The control loop's knobs: when to scale, how fast, within what bounds.
 
     The controller reads the PR-7 observability signals each replica's
@@ -63,39 +65,40 @@ class AutoscalerPolicy(FlatSection):
     scale_in_occupancy:
         Windowed mean batch size below this fraction of
         ``max_batch_size`` marks capacity as collapsed.
+
+    From the command line, ``slo_p99_ms`` is the run's ``--slo-p99-ms``
+    acceptance gate when given, else the policy's ``--slo-ms``.
     """
 
-    min_replicas: int = 1
-    max_replicas: int = 4
-    interval_s: float = 2.0
-    cooldown_s: float = 4.0
-    slo_p99_ms: float = 200.0
-    scale_out_wait_share: float = 0.5
-    scale_in_occupancy: float = 0.25
+    min_replicas: int = schema.field(1, "--min-replicas", "autoscaler lower bound", must="be >= 1")
+    max_replicas: int = schema.field(4, "--max-replicas", "autoscaler upper bound")
+    interval_s: float = schema.field(
+        2.0, "--interval-s", "control-tick period (simulated seconds)", must="be positive"
+    )
+    cooldown_s: float = schema.field(
+        4.0, "--cooldown-s", "minimum time between scale actions", must="be >= 0"
+    )
+    slo_p99_ms: float = schema.field(
+        200.0, reads=("--slo-p99-ms", "--slo-ms"), must="be positive"
+    )
+    scale_out_wait_share: float = schema.field(
+        0.5,
+        "--scale-out-wait-share",
+        "budget share the windowed queue-wait p95 may consume before scaling out",
+        must="be in (0, 1]",
+    )
+    scale_in_occupancy: float = schema.field(
+        0.25,
+        "--scale-in-occupancy",
+        "windowed mean batch size below this fraction of --batch-size scales in",
+        must="be in [0, 1)",
+    )
 
     def __post_init__(self) -> None:
-        if self.min_replicas < 1:
-            raise ValueError(f"min_replicas must be >= 1, got {self.min_replicas}")
         if self.max_replicas < self.min_replicas:
             raise ValueError(
                 f"max_replicas ({self.max_replicas}) must be >= "
                 f"min_replicas ({self.min_replicas})"
-            )
-        if self.interval_s <= 0:
-            raise ValueError(f"interval_s must be positive, got {self.interval_s}")
-        if self.cooldown_s < 0:
-            raise ValueError(f"cooldown_s must be >= 0, got {self.cooldown_s}")
-        if self.slo_p99_ms <= 0:
-            raise ValueError(f"slo_p99_ms must be positive, got {self.slo_p99_ms}")
-        if not 0.0 < self.scale_out_wait_share <= 1.0:
-            raise ValueError(
-                f"scale_out_wait_share must be in (0, 1], "
-                f"got {self.scale_out_wait_share}"
-            )
-        if not 0.0 <= self.scale_in_occupancy < 1.0:
-            raise ValueError(
-                f"scale_in_occupancy must be in [0, 1), "
-                f"got {self.scale_in_occupancy}"
             )
 
 
@@ -126,21 +129,38 @@ class FleetSpec(DeploymentSpec):
         ``replicas`` must then lie inside its bounds.
     """
 
-    FORMAT: ClassVar[str] = FLEET_SPEC_FORMAT
+    FORMAT = FLEET_SPEC_FORMAT
+    NOUN = "fleet spec"
+    MISSING_MESSAGE = "fleet spec is missing the required 'system' section"
     KIND: ClassVar[str] = "fleet"
 
-    replicas: int = 2
-    devices: Tuple[str, ...] = ("abstract",)
-    placement: str = "least_loaded"
-    autoscaler: Optional[AutoscalerPolicy] = None
+    replicas: int = schema.field(
+        2,
+        "--replicas",
+        "initial replica count (the static count without --autoscale)",
+        must="be >= 1",
+    )
+    devices: Tuple[str, ...] = schema.field(
+        ("abstract",),
+        "--devices",
+        "device-profile cycle: spawned replica i runs on devices[i %% len] "
+        "(one name = homogeneous fleet)",
+        metavar="DEV0,DEV1,...",
+    )
+    placement: str = schema.field(
+        "least_loaded",
+        "--placement",
+        "policy routing new streams to replicas (sticky thereafter)",
+        choices=PLACEMENT_POLICIES.names,
+    )
+    autoscaler: Optional[AutoscalerPolicy] = schema.field(
+        None, "--autoscale", "enable the metrics-driven replica-count control loop"
+    )
 
     def __post_init__(self) -> None:
         from repro.cost import get_device
-        from repro.fleet.router import PLACEMENT_POLICIES
 
         super().__post_init__()
-        if self.replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         devices = tuple(self.devices)
         if not devices:
             raise ValueError("devices must name at least one device profile")
@@ -149,11 +169,6 @@ class FleetSpec(DeploymentSpec):
         object.__setattr__(self, "devices", devices)
         PLACEMENT_POLICIES.get(self.placement)  # raises for unknown names
         if self.autoscaler is not None:
-            if not isinstance(self.autoscaler, AutoscalerPolicy):
-                raise TypeError(
-                    f"autoscaler must be an AutoscalerPolicy, "
-                    f"got {type(self.autoscaler).__name__}"
-                )
             if not (
                 self.autoscaler.min_replicas
                 <= self.replicas
@@ -187,29 +202,6 @@ class FleetSpec(DeploymentSpec):
     def device_for(self, index: int) -> str:
         """Device profile name of the ``index``-th spawned replica."""
         return self.devices[index % len(self.devices)]
-
-    def _fields_dict(self) -> Dict[str, Any]:
-        return {
-            "replicas": self.replicas,
-            "devices": list(self.devices),
-            "placement": self.placement,
-            "autoscaler": (
-                None if self.autoscaler is None else self.autoscaler.to_dict()
-            ),
-        }
-
-    @classmethod
-    def _fields_from_dict(cls, data: Dict[str, Any]) -> Dict[str, Any]:
-        return {
-            "replicas": data.get("replicas", 2),
-            "devices": tuple(data.get("devices", ("abstract",))),
-            "placement": data.get("placement", "least_loaded"),
-            "autoscaler": (
-                None
-                if data.get("autoscaler") is None
-                else AutoscalerPolicy.from_dict(data["autoscaler"])
-            ),
-        }
 
     @classmethod
     def _store_cls(cls) -> type:

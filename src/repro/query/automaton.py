@@ -35,15 +35,15 @@ length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.results import FrameResult
-from repro.query.codec import Codec
 from repro.query.props import FrameState, TrackBook
 from repro.query.spec import Always, Eventually, QuerySpec, TemporalExpr, Then
+from repro.schema import Schema, field as schema_field
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def compile_phases(expr: TemporalExpr) -> Tuple[Phase, ...]:
 
 
 @dataclass(frozen=True)
-class QueryWindow(Codec):
+class QueryWindow(Schema):
     """One emitted frames-of-interest window, with match provenance.
 
     ``start`` / ``end`` are frame numbers of the underlying sequence;
@@ -87,16 +87,20 @@ class QueryWindow(Codec):
     end_tick: int
     phases: Tuple[int, ...]
 
+    STRICT = False
+
 
 @dataclass
-class FramesOfInterest(Codec):
+class FramesOfInterest(Schema):
     """All windows one evaluator emitted over one stream."""
+
+    STRICT = False
 
     stream: str
     query: str
     fingerprint: str
     frames_observed: int
-    windows: List[QueryWindow] = field(default_factory=list)
+    windows: List[QueryWindow] = schema_field(default_factory=list, required=True)
 
 
 class _Partial:

@@ -19,7 +19,7 @@ an offline replay — the acceptance gate of the serving integration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,9 +27,9 @@ import numpy as np
 from repro.core.results import FrameResult
 from repro.harness.tables import format_table
 from repro.query.automaton import FramesOfInterest, QueryWindow, compile_phases
-from repro.query.codec import Codec
 from repro.query.props import FrameState, TrackBook
 from repro.query.spec import QuerySpec
+from repro.schema import Schema, field as schema_field
 
 
 def evaluate_frames(
@@ -203,7 +203,7 @@ def scene_of_stream(stream: str) -> str:
 
 
 @dataclass
-class QueryReport(Codec):
+class QueryReport(Schema):
     """Frames-of-interest across streams, plus per-scene conjunctions.
 
     Built identically from served or offline evaluation; ``format()``
@@ -213,8 +213,12 @@ class QueryReport(Codec):
 
     query: str
     fingerprint: str
-    streams: Dict[str, FramesOfInterest] = field(default_factory=dict)
-    conjunctions: Dict[str, List[Tuple[int, int]]] = field(default_factory=dict)
+    STRICT = False
+
+    streams: Dict[str, FramesOfInterest] = schema_field(default_factory=dict, required=True)
+    conjunctions: Dict[str, List[Tuple[int, int]]] = schema_field(
+        default_factory=dict, required=True
+    )
 
     @classmethod
     def build(

@@ -3,8 +3,8 @@
 A proposition asks one yes/no question about a single frame of one
 stream — "is a car present?", "are there >= 3 detections in this
 region?", "has some track persisted >= N frames?".  Propositions are
-frozen dataclasses, ``kind``-tagged by ``@_register`` and serialized by
-the one query codec (:mod:`repro.query.codec`);
+frozen dataclasses, ``kind``-tagged by ``@register`` and serialized by
+the one schema (:mod:`repro.schema`);
 the temporal layer (:mod:`repro.query.spec`) combines them with
 ``eventually`` / ``always`` / ``then``.
 
@@ -17,22 +17,24 @@ with index <= t", never a lookahead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.detections import Detections
-from repro.query.codec import Codec, _register, known_kinds
+from repro.schema import Schema, field as schema_field, known_kinds, register
 
 
 @dataclass(frozen=True)
-class Region(Codec):
+class Region(Schema):
     """An axis-aligned region of the image, in pixels.
 
     Membership is by box *center* — robust to partial overlap and cheap
     to evaluate over a columnar box array.
     """
+
+    STRICT = False
 
     x0: float
     y0: float
@@ -119,8 +121,10 @@ class FrameState:
 # --------------------------------------------------------------------- #
 
 
-class Prop(Codec):
+class Prop(Schema):
     """Base class: one frame-local yes/no question."""
+
+    STRICT = False
 
     def evaluate(self, state: FrameState) -> bool:
         raise NotImplementedError
@@ -143,7 +147,7 @@ def _label_mask(detections: Detections, label: Optional[int]) -> np.ndarray:
     return detections.labels == int(label)
 
 
-@_register("class_present")
+@register("class_present")
 @dataclass(frozen=True)
 class ClassPresent(Prop):
     """Some detection of ``label`` with score >= ``min_score`` exists."""
@@ -157,18 +161,14 @@ class ClassPresent(Prop):
         return bool(mask.any())
 
 
-@_register("count_at_least")
+@register("count_at_least")
 @dataclass(frozen=True)
 class CountAtLeast(Prop):
     """At least ``k`` detections (optionally of one class) this frame."""
 
-    k: int
+    k: int = schema_field(must="be >= 1")
     label: Optional[int] = None
     min_score: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
 
     def evaluate(self, state: FrameState) -> bool:
         d = state.detections
@@ -176,7 +176,7 @@ class CountAtLeast(Prop):
         return int(mask.sum()) >= self.k
 
 
-@_register("box_in_region")
+@register("box_in_region")
 @dataclass(frozen=True)
 class BoxInRegion(Prop):
     """Some detection's box center lies inside ``region``."""
@@ -193,7 +193,7 @@ class BoxInRegion(Prop):
         return bool(self.region.contains_centers(d.boxes[mask]).any())
 
 
-@_register("track_persisted")
+@register("track_persisted")
 @dataclass(frozen=True)
 class TrackPersisted(Prop):
     """Some track (optionally of one class) observed on >= N frames so far.
@@ -203,12 +203,8 @@ class TrackPersisted(Prop):
     itself must be present on the current frame.
     """
 
-    min_frames: int
+    min_frames: int = schema_field(must="be >= 1")
     label: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.min_frames < 1:
-            raise ValueError(f"min_frames must be >= 1, got {self.min_frames}")
 
     def evaluate(self, state: FrameState) -> bool:
         book = state.book
@@ -220,7 +216,7 @@ class TrackPersisted(Prop):
         return False
 
 
-@_register("track_entered_region")
+@register("track_entered_region")
 @dataclass(frozen=True)
 class TrackEnteredRegion(Prop):
     """Some track crossed into ``region`` on this frame.
@@ -237,7 +233,7 @@ class TrackEnteredRegion(Prop):
         return _crossing(state, self.region, self.label, entering=True)
 
 
-@_register("track_left_region")
+@register("track_left_region")
 @dataclass(frozen=True)
 class TrackLeftRegion(Prop):
     """Some track crossed out of ``region`` on this frame (see
@@ -274,7 +270,7 @@ def _crossing(
 # --------------------------------------------------------------------- #
 
 
-@_register("not")
+@register("not")
 @dataclass(frozen=True)
 class Not(Prop):
     """Frame-local negation of another proposition."""
@@ -289,12 +285,12 @@ class Not(Prop):
         return not self.prop.evaluate(state)
 
 
-@_register("all_of")
+@register("all_of")
 @dataclass(frozen=True)
 class AllOf(Prop):
     """Frame-local conjunction: every sub-proposition holds."""
 
-    props: Tuple[Prop, ...] = field(default_factory=tuple)
+    props: Tuple[Prop, ...] = schema_field(default_factory=tuple, required=True)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "props", tuple(self.props))
@@ -308,12 +304,12 @@ class AllOf(Prop):
         return all(p.evaluate(state) for p in self.props)
 
 
-@_register("any_of")
+@register("any_of")
 @dataclass(frozen=True)
 class AnyOf(Prop):
     """Frame-local disjunction: some sub-proposition holds."""
 
-    props: Tuple[Prop, ...] = field(default_factory=tuple)
+    props: Tuple[Prop, ...] = schema_field(default_factory=tuple, required=True)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "props", tuple(self.props))

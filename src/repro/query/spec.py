@@ -32,18 +32,19 @@ dataclasses with exact JSON round trips and a sha256 content
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.api.spec import JsonRoundTrip
-from repro.query.codec import Codec, _register
 from repro.query.props import Prop
+from repro.schema import JsonRoundTrip, Schema, field as schema_field, register
 
 QUERY_SPEC_FORMAT = "repro-query-spec/1"
 
 
-class TemporalExpr(Codec):
+class TemporalExpr(Schema):
     """Base class of the temporal operators."""
+
+    STRICT = False
 
     @classmethod
     def _unknown_kind(cls, data: Dict[str, Any]) -> "TemporalExpr":
@@ -76,7 +77,7 @@ def _check_within(within: Optional[int]) -> Optional[int]:
     return within
 
 
-@_register("eventually")
+@register("eventually")
 @dataclass(frozen=True)
 class Eventually(TemporalExpr):
     """``prop`` holds on some frame of the step's search window."""
@@ -92,7 +93,7 @@ class Eventually(TemporalExpr):
         object.__setattr__(self, "within", _check_within(self.within))
 
 
-@_register("always")
+@register("always")
 @dataclass(frozen=True)
 class Always(TemporalExpr):
     """``prop`` holds on ``frames`` consecutive frames."""
@@ -117,12 +118,12 @@ class Always(TemporalExpr):
             )
 
 
-@_register("then")
+@register("then")
 @dataclass(frozen=True)
 class Then(TemporalExpr):
     """The steps match strictly in order (sequencing operator)."""
 
-    steps: Tuple[TemporalExpr, ...] = field(default_factory=tuple)
+    steps: Tuple[TemporalExpr, ...] = schema_field(default_factory=tuple, required=True)
 
     def __post_init__(self) -> None:
         steps = tuple(_as_step(s) for s in self.steps)
@@ -141,7 +142,7 @@ def expr_from_dict(data: Dict[str, Any]) -> TemporalExpr:
 
 
 @dataclass(frozen=True)
-class QuerySpec(Codec, JsonRoundTrip):
+class QuerySpec(JsonRoundTrip):
     """One named scenario query: a temporal expression plus metadata.
 
     ``name`` labels reports and sink records; it is part of the content
@@ -150,26 +151,13 @@ class QuerySpec(Codec, JsonRoundTrip):
     its sections).
     """
 
-    name: str
+    STRICT = False
+    FORMAT = QUERY_SPEC_FORMAT
+    NOUN = "query spec"
+    MISSING_MESSAGE = "query spec requires 'name' and 'expr'"
+
+    name: str = schema_field(must="be a non-empty string")
     expr: TemporalExpr
 
     def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ValueError(f"name must be a non-empty string, got {self.name!r}")
         object.__setattr__(self, "expr", _as_step(self.expr) if not isinstance(self.expr, Then) else self.expr)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"format": QUERY_SPEC_FORMAT, **super().to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "QuerySpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"query spec must be a JSON object, got {type(data).__name__}")
-        fmt = data.get("format", QUERY_SPEC_FORMAT)
-        if fmt != QUERY_SPEC_FORMAT:
-            raise ValueError(
-                f"unsupported query-spec format {fmt!r}, expected {QUERY_SPEC_FORMAT!r}"
-            )
-        if "name" not in data or "expr" not in data:
-            raise ValueError("query spec requires 'name' and 'expr'")
-        return super().from_dict(data)

@@ -24,8 +24,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import schema
 from repro.api.registry import Registry
-from repro.api.spec import FlatSection
 from repro.datasets.types import Dataset, Sequence
 from repro.utils.rng import RngFactory
 
@@ -46,7 +46,7 @@ def register_load_pattern(name: str, *, override: bool = False):
 
 
 @dataclass(frozen=True)
-class LoadSpec(FlatSection):
+class LoadSpec(schema.Schema):
     """One open-loop load: how many streams, arriving how, for how long.
 
     Parameters
@@ -74,26 +74,40 @@ class LoadSpec(FlatSection):
         ``None`` = the whole sequence).
     seed:
         Root seed for stochastic patterns.
+
+    ``rates`` is left out of :meth:`to_dict` while unset, so specs
+    written before it existed keep their fingerprints (and their cached
+    reports).
     """
 
-    pattern: str = "poisson"
-    num_streams: int = 4
-    rate_hz: float = 15.0
-    frames_per_stream: Optional[int] = 60
-    seed: int = 0
-    rates: Optional[Tuple[float, ...]] = None
+    pattern: str = schema.field(
+        "poisson",
+        "--pattern",
+        "arrival pattern",
+        choices=LOAD_PATTERNS.names,
+        must="be a non-empty string",
+    )
+    num_streams: int = schema.field(4, "--streams", "concurrent camera streams", must="be >= 1")
+    rate_hz: float = schema.field(
+        15.0,
+        "--rate",
+        "per-stream arrival rate in frames/s (replay uses the sequence's native fps)",
+        must="be positive",
+    )
+    frames_per_stream: Optional[int] = schema.field(
+        60, "--frames", "frames offered per stream", must="be >= 1"
+    )
+    seed: int = schema.field(0, "--load-seed", "arrival-schedule seed (stochastic patterns)")
+    rates: Optional[Tuple[float, ...]] = schema.field(
+        None,
+        "--rate-per-stream",
+        "heterogeneous per-stream rates in frames/s "
+        "(stream i uses rate i mod len; overrides --rate)",
+        metavar="R0,R1,...",
+        omit_none=True,
+    )
 
     def __post_init__(self) -> None:
-        if not self.pattern or not isinstance(self.pattern, str):
-            raise ValueError(f"pattern must be a non-empty string, got {self.pattern!r}")
-        if self.num_streams < 1:
-            raise ValueError(f"num_streams must be >= 1, got {self.num_streams}")
-        if self.rate_hz <= 0:
-            raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
-        if self.frames_per_stream is not None and self.frames_per_stream < 1:
-            raise ValueError(
-                f"frames_per_stream must be >= 1, got {self.frames_per_stream}"
-            )
         if self.rates is not None:
             rates = tuple(float(r) for r in self.rates)
             if not rates:
@@ -113,20 +127,6 @@ class LoadSpec(FlatSection):
         if self.frames_per_stream is None:
             return sequence.num_frames
         return min(self.frames_per_stream, sequence.num_frames)
-
-    def to_dict(self) -> Dict[str, Any]:
-        out = {
-            "pattern": self.pattern,
-            "num_streams": self.num_streams,
-            "rate_hz": self.rate_hz,
-            "frames_per_stream": self.frames_per_stream,
-            "seed": self.seed,
-        }
-        # Key omitted when unset so pre-existing spec fingerprints (and
-        # their cached reports) stay valid.
-        if self.rates is not None:
-            out["rates"] = list(self.rates)
-        return out
 
 
 @dataclass(frozen=True)

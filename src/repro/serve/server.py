@@ -32,8 +32,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ClassVar, Dict, List, Optional, Sequence as SequenceType, Union
 
+from repro import schema
 from repro.api.cache import EntryStore
-from repro.api.spec import FlatSection, ServeSpec
+from repro.api.spec import ServeSpec
 from repro.core.config import SystemConfig
 from repro.core.results import FrameResult
 from repro.core.systems import DetectionSystem
@@ -55,7 +56,7 @@ SHED_POLICIES = (SHED_OLDEST, SHED_NEWEST)
 
 
 @dataclass(frozen=True)
-class ServePolicy(FlatSection):
+class ServePolicy(schema.Schema):
     """Admission + batching + SLO knobs of one server deployment.
 
     Parameters
@@ -73,29 +74,31 @@ class ServePolicy(FlatSection):
         End-to-end latency objective used for violation counting.
     """
 
-    max_batch_size: int = 8
-    max_wait_ms: float = 25.0
-    queue_capacity: int = 64
-    shed_policy: str = SHED_OLDEST
-    slo_ms: float = 200.0
-
-    def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
-        if self.queue_capacity < 1:
-            raise ValueError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
-        if self.shed_policy not in SHED_POLICIES:
-            raise ValueError(
-                f"shed_policy must be one of {SHED_POLICIES}, got {self.shed_policy!r}"
-            )
-        if self.slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {self.slo_ms}")
+    max_batch_size: int = schema.field(
+        8, "--batch-size", "micro-batch flush size per replica (1 = unbatched)", must="be >= 1"
+    )
+    max_wait_ms: float = schema.field(
+        25.0, "--max-wait-ms", "max coalescing delay for the oldest ready frame", must="be >= 0"
+    )
+    queue_capacity: int = schema.field(
+        64,
+        "--queue-capacity",
+        "per-replica admission queue bound before shedding",
+        must="be >= 1",
+    )
+    shed_policy: str = schema.field(
+        SHED_OLDEST,
+        "--shed",
+        "which frame to drop when a replica queue overflows",
+        choices=SHED_POLICIES,
+    )
+    slo_ms: float = schema.field(
+        200.0, "--slo-ms", "end-to-end latency objective", must="be positive"
+    )
 
 
 @dataclass(frozen=True)
-class ServiceModel(FlatSection):
+class ServiceModel(schema.Schema):
     """Accelerator timing model: fixed per-invocation cost + MAC rate.
 
     The paper's systems run DNNs on an accelerator whose every
@@ -128,8 +131,18 @@ class ServiceModel(FlatSection):
         calibrated from; ``None`` marks explicit uncalibrated rates.
     """
 
-    invocation_overhead_ms: Optional[float] = None
-    gops_per_second: Optional[float] = None
+    invocation_overhead_ms: Optional[float] = schema.field(
+        None,
+        "--overhead-ms",
+        "explicit fixed cost per batched detector invocation (incompatible with --device)",
+        must="be >= 0",
+    )
+    gops_per_second: Optional[float] = schema.field(
+        None,
+        "--gops",
+        "explicit accelerator throughput in Gops/s (incompatible with --device)",
+        must="be positive",
+    )
     device: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -165,14 +178,6 @@ class ServiceModel(FlatSection):
                 )
             if self.gops_per_second is None:
                 object.__setattr__(self, "gops_per_second", ABSTRACT.gops_per_second)
-        if self.invocation_overhead_ms < 0:
-            raise ValueError(
-                f"invocation_overhead_ms must be >= 0, got {self.invocation_overhead_ms}"
-            )
-        if self.gops_per_second <= 0:
-            raise ValueError(
-                f"gops_per_second must be positive, got {self.gops_per_second}"
-            )
         # batch_seconds sits in the simulator's per-batch hot loop: build
         # the cost model once, not per call.  Not a dataclass field, so
         # equality/repr/serialization are untouched.
@@ -209,19 +214,20 @@ class ServiceModel(FlatSection):
 
 
 @dataclass(kw_only=True)
-class ServedTotals:
+class ServedTotals(schema.Schema):
     """The fields and statistics every served report shares.
 
     The base of :class:`ServeReport` and
     :class:`~repro.fleet.server.FleetReport`: the policy served under,
     the frame, batch and invocation counts, the simulated makespan and
-    compute time, the SLO section and the scenario-query windows, read
-    back by one :meth:`from_dict`.  A subclass names its ``FORMAT`` and
-    reads its own fields back in ``_fields_from_dict(data)``.
+    compute time, the SLO section and the scenario-query windows.  A
+    subclass names its ``FORMAT`` tag and its serialized ``KEYS`` in
+    order; the derived statistics among them (``mean_batch_size``,
+    ``throughput_fps``, ...) are written and never read back.
 
     ``frame_results`` (per-stream :class:`FrameResult` lists, dispatch
     order) is populated only by a live run — it is the byte-identity
-    evidence and is deliberately excluded from ``to_dict``, so cached
+    evidence and is deliberately excluded from ``KEYS``, so cached
     reports carry statistics only.  ``wall_seconds`` measures this
     host's Python and is likewise excluded (it is not part of the
     deterministic result).
@@ -232,7 +238,9 @@ class ServedTotals:
     deterministic function of the spec it *is* cached.
     """
 
-    FORMAT: ClassVar[str] = ""
+    STRICT = False
+    FORMAT_REQUIRED = True
+    NOUN = "report"
 
     policy: ServePolicy
     frames_offered: int
@@ -246,27 +254,6 @@ class ServedTotals:
     query_windows: Optional[Dict[str, Any]] = None
     frame_results: Optional[Dict[str, SequenceType[FrameResult]]] = None
     wall_seconds: float = 0.0
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ServedTotals":
-        if data.get("format") != cls.FORMAT:
-            raise ValueError(
-                f"unsupported report format {data.get('format')!r}, "
-                f"expected {cls.FORMAT!r}"
-            )
-        return cls(
-            policy=ServePolicy.from_dict(data["policy"]),
-            frames_offered=data["frames_offered"],
-            frames_served=data["frames_served"],
-            frames_shed=data["frames_shed"],
-            batches=data["batches"],
-            invocations=data["invocations"],
-            makespan_seconds=data["makespan_seconds"],
-            compute_seconds=data["compute_seconds"],
-            slo=data["slo"],
-            query_windows=data.get("query_windows"),
-            **cls._fields_from_dict(data),
-        )
 
     def query_report(self):
         """The scenario-query :class:`~repro.query.offline.QueryReport`
@@ -300,13 +287,14 @@ class ServeReport(ServedTotals):
     :meth:`DetectionServer.run`.
     """
 
-    FORMAT: ClassVar[str] = REPORT_FORMAT
+    FORMAT = REPORT_FORMAT
+    KEYS = (
+        "policy", "service", "frames_offered", "frames_served", "frames_shed",
+        "batches", "invocations", "mean_batch_size", "makespan_seconds",
+        "compute_seconds", "throughput_fps", "utilization", "slo", "query_windows",
+    )
 
     service: ServiceModel
-
-    @classmethod
-    def _fields_from_dict(cls, data: Dict[str, Any]) -> Dict[str, Any]:
-        return {"service": ServiceModel.from_dict(data["service"])}
 
     @property
     def utilization(self) -> float:
@@ -326,31 +314,12 @@ class ServeReport(ServedTotals):
         amortized over served frames (``inf`` when nothing was served).
         A fleet prices *allocated* replica-time instead — see
         :attr:`repro.fleet.server.FleetReport.cost_per_frame`.  Not
-        serialized: it is derived from fields :meth:`to_dict` keeps.
+        serialized: it is derived from fields ``to_dict`` keeps.
         """
         if not self.frames_served:
             return float("inf")
         rate = self.service.cost_model().profile.cost_per_second
         return self.compute_seconds * rate / self.frames_served
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "format": REPORT_FORMAT,
-            "policy": self.policy.to_dict(),
-            "service": self.service.to_dict(),
-            "frames_offered": self.frames_offered,
-            "frames_served": self.frames_served,
-            "frames_shed": self.frames_shed,
-            "batches": self.batches,
-            "invocations": self.invocations,
-            "mean_batch_size": self.mean_batch_size,
-            "makespan_seconds": self.makespan_seconds,
-            "compute_seconds": self.compute_seconds,
-            "throughput_fps": self.throughput_fps,
-            "utilization": self.utilization,
-            "slo": self.slo,
-            "query_windows": self.query_windows,
-        }
 
     def format(self) -> str:
         """Human-readable throughput/latency report."""

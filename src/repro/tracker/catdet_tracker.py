@@ -31,6 +31,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.boxes.box import clip_boxes, is_valid
+from repro.schema import Schema, field
 from repro.detections import Detections
 from repro.tracker.association import associate_per_class
 from repro.tracker.motion import DecayMotionBank, KalmanMotionBank
@@ -38,7 +39,7 @@ from repro.tracker.state import TrackState
 
 
 @dataclass(frozen=True)
-class TrackerConfig:
+class TrackerConfig(Schema):
     """Hyper-parameters of the CaTDet tracker.
 
     Parameters
@@ -64,8 +65,8 @@ class TrackerConfig:
         ``"decay"`` (paper) or ``"kalman"`` (SORT baseline, for ablation).
     """
 
-    eta: float = 0.7
-    iou_threshold: float = 0.0
+    eta: float = field(0.7, must="lie in [0, 1]")
+    iou_threshold: float = field(0.0, must="lie in [0, 1]")
     input_score_threshold: float = 0.5
     match_gain: float = 1.0
     miss_penalty: float = 1.0
@@ -75,11 +76,11 @@ class TrackerConfig:
     min_visible_fraction: float = 0.3
     motion_model: str = "decay"
 
+    #: A tracker section nests in a SystemConfig's JSON, and its unknown
+    #: keys are reported as that section's.
+    NAME = "SystemConfig"
+
     def __post_init__(self) -> None:
-        if not (0.0 <= self.eta <= 1.0):
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not (0.0 <= self.iou_threshold <= 1.0):
-            raise ValueError(f"iou_threshold must lie in [0, 1], got {self.iou_threshold}")
         if self.motion_model not in ("decay", "kalman"):
             raise ValueError(f"motion_model must be 'decay' or 'kalman', got {self.motion_model!r}")
         if self.max_confidence <= 0:
