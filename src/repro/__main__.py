@@ -38,6 +38,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from repro import schema
 from repro.api.session import Session
@@ -92,16 +93,9 @@ def cmd_models(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = SystemConfig(
-        args.kind,
-        args.refinement,
-        args.proposal,
-        c_thresh=args.c_thresh,
-        margin=args.margin,
-        seed=args.seed,
-        input_scale=args.input_scale,
-        detailed_ops=args.detailed_ops,
-        device=args.device,
+    config = schema.from_flags(
+        SystemConfig, args, margin=args.margin, input_scale=args.input_scale,
+        detailed_ops=args.detailed_ops, device=args.device,
     )
     spec = ExperimentSpec(
         system=config,
@@ -212,17 +206,7 @@ def _load_spec_file(path: str, workers) -> list:
     entries = payload if isinstance(payload, list) else [payload]
     specs = [ExperimentSpec.from_dict(entry) for entry in entries]
     if workers is not None:
-        specs = [
-            ExperimentSpec(
-                system=s.system, dataset=s.dataset, eval=s.eval,
-                exec=ExecSpec(
-                    executor=s.exec.executor,
-                    workers=workers,
-                    queue_dir=s.exec.queue_dir,
-                ),
-            )
-            for s in specs
-        ]
+        specs = [replace(s, exec=replace(s.exec, workers=workers)) for s in specs]
     return specs
 
 
@@ -482,15 +466,11 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fleet_spec(args: argparse.Namespace):
+def cmd_fleet_run(args: argparse.Namespace) -> int:
     from repro.fleet import FleetSpec
 
-    return schema.from_flags(FleetSpec, args)
-
-
-def cmd_fleet_run(args: argparse.Namespace) -> int:
     try:
-        spec = _fleet_spec(args)
+        spec = schema.from_flags(FleetSpec, args)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -542,8 +522,10 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet_tune(args: argparse.Namespace) -> int:
+    from repro.fleet import FleetSpec
+
     try:
-        spec = _fleet_spec(args)
+        spec = schema.from_flags(FleetSpec, args)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -972,12 +954,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("models", help="list the model zoo").set_defaults(func=cmd_models)
 
     run_p = sub.add_parser("run", help="run one system on KITTI-like data")
-    from repro.api.registry import SYSTEMS
-
-    run_p.add_argument("kind", choices=SYSTEMS.names())
-    run_p.add_argument("refinement")
-    run_p.add_argument("proposal", nargs="?", default=None)
-    run_p.add_argument("--c-thresh", type=float, default=0.1)
+    _add_spec_flags(run_p, _SYSTEM_FLAGS[:-1])  # its --seed has no help text
     run_p.add_argument("--margin", type=float, default=30.0,
                        help="RoI context margin in pixels")
     run_p.add_argument("--input-scale", type=float, default=1.0,

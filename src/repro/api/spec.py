@@ -48,21 +48,12 @@ class DatasetSpec(schema.Schema):
         Size and world seed; ``None`` defers to the family's defaults.
     """
 
-    family: str = schema.field(
-        "kitti",
-        "--dataset",
-        "registered dataset family supplying the streams",
-        must="be a non-empty string",
-    )
-    num_sequences: Optional[int] = schema.field(
-        None,
-        "--sequences",
-        "dataset sequences to generate (default: the family's own default)",
-        must="be >= 1",
-    )
+    family: str = schema.field("kitti", "--dataset", must="be a non-empty string",
+                               help="registered dataset family supplying the streams")
+    num_sequences: Optional[int] = schema.field(None, "--sequences", must="be >= 1", help=(
+        "dataset sequences to generate (default: the family's own default)"))
     frames_per_sequence: Optional[int] = schema.field(
-        None, "--seq-frames", "frames per generated sequence", must="be >= 1"
-    )
+        None, "--seq-frames", "frames per generated sequence", must="be >= 1")
     seed: Optional[int] = None
 
 
@@ -129,11 +120,7 @@ class ExecSpec(schema.Schema):
 
     executor: str = schema.field("auto", must="be a non-empty string")
     workers: int = schema.field(1, must="be >= 0")
-    queue_dir: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.queue_dir is not None and not isinstance(self.queue_dir, str):
-            raise ValueError(f"queue_dir must be a string path, got {self.queue_dir!r}")
+    queue_dir: Optional[str] = schema.field(None, must="be a string path")
 
 
 @dataclass(frozen=True)
@@ -293,12 +280,8 @@ class ServeSpec(DeploymentSpec):
     KIND: ClassVar[str] = "serve"
 
     service: Optional[ServiceModel] = None
-    device: Optional[str] = schema.field(
-        None,
-        "--device",
-        "calibrated device profile the service model is derived from (default: abstract)",
-        choices=DEVICE_PROFILES.names,
-    )
+    device: Optional[str] = schema.field(None, "--device", choices=DEVICE_PROFILES.names, help=(
+        "calibrated device profile the service model is derived from (default: abstract)"))
 
     def __post_init__(self) -> None:
         from repro.serve.server import ServiceModel

@@ -72,27 +72,15 @@ class AutoscalerPolicy(schema.Schema):
 
     min_replicas: int = schema.field(1, "--min-replicas", "autoscaler lower bound", must="be >= 1")
     max_replicas: int = schema.field(4, "--max-replicas", "autoscaler upper bound")
-    interval_s: float = schema.field(
-        2.0, "--interval-s", "control-tick period (simulated seconds)", must="be positive"
-    )
-    cooldown_s: float = schema.field(
-        4.0, "--cooldown-s", "minimum time between scale actions", must="be >= 0"
-    )
-    slo_p99_ms: float = schema.field(
-        200.0, reads=("--slo-p99-ms", "--slo-ms"), must="be positive"
-    )
-    scale_out_wait_share: float = schema.field(
-        0.5,
-        "--scale-out-wait-share",
-        "budget share the windowed queue-wait p95 may consume before scaling out",
-        must="be in (0, 1]",
-    )
-    scale_in_occupancy: float = schema.field(
-        0.25,
-        "--scale-in-occupancy",
-        "windowed mean batch size below this fraction of --batch-size scales in",
-        must="be in [0, 1)",
-    )
+    interval_s: float = schema.field(2.0, "--interval-s", must="be positive",
+                                     help="control-tick period (simulated seconds)")
+    cooldown_s: float = schema.field(4.0, "--cooldown-s", must="be >= 0",
+                                     help="minimum time between scale actions")
+    slo_p99_ms: float = schema.field(200.0, reads=("--slo-p99-ms", "--slo-ms"), must="be positive")
+    scale_out_wait_share: float = schema.field(0.5, "--scale-out-wait-share", must="be in (0, 1]",
+        help="budget share the windowed queue-wait p95 may consume before scaling out")
+    scale_in_occupancy: float = schema.field(0.25, "--scale-in-occupancy", must="be in [0, 1)",
+        help="windowed mean batch size below this fraction of --batch-size scales in")
 
     def __post_init__(self) -> None:
         if self.max_replicas < self.min_replicas:
@@ -134,28 +122,15 @@ class FleetSpec(DeploymentSpec):
     MISSING_MESSAGE = "fleet spec is missing the required 'system' section"
     KIND: ClassVar[str] = "fleet"
 
-    replicas: int = schema.field(
-        2,
-        "--replicas",
-        "initial replica count (the static count without --autoscale)",
-        must="be >= 1",
-    )
-    devices: Tuple[str, ...] = schema.field(
-        ("abstract",),
-        "--devices",
-        "device-profile cycle: spawned replica i runs on devices[i %% len] "
-        "(one name = homogeneous fleet)",
-        metavar="DEV0,DEV1,...",
-    )
-    placement: str = schema.field(
-        "least_loaded",
-        "--placement",
-        "policy routing new streams to replicas (sticky thereafter)",
-        choices=PLACEMENT_POLICIES.names,
-    )
+    replicas: int = schema.field(2, "--replicas", must="be >= 1", help=(
+        "initial replica count (the static count without --autoscale)"))
+    devices: Tuple[str, ...] = schema.field(("abstract",), "--devices", metavar="DEV0,DEV1,...",
+        help="device-profile cycle: spawned replica i runs on devices[i %% len] "
+        "(one name = homogeneous fleet)")
+    placement: str = schema.field("least_loaded", "--placement", choices=PLACEMENT_POLICIES.names,
+                                  help="policy routing new streams to replicas (sticky thereafter)")
     autoscaler: Optional[AutoscalerPolicy] = schema.field(
-        None, "--autoscale", "enable the metrics-driven replica-count control loop"
-    )
+        None, "--autoscale", "enable the metrics-driven replica-count control loop")
 
     def __post_init__(self) -> None:
         from repro.cost import get_device

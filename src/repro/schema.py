@@ -26,10 +26,11 @@ field (``Region(0, 0, 621, 375)`` keeps its ints, and hashes unlike
 ``Region(0.0, 0.0, 621.0, 375.0)``).  An ``int`` field takes integers
 only, a ``float`` field integers and floats, neither a bool or a string;
 likewise ``Optional`` numbers and tuples of numbers.  A section field
-holds an instance of its class (``TypeError`` otherwise).  ``must="be >=
-1"`` (or ``"be positive"``, ``"lie in [0, 1]"``, ``"be in (0, 1]"``, ``"be
-a non-empty string"``) and a tuple of ``choices`` bound a value: ``"<field>
-must <phrase>, got <value>"``.  The checks run at construction, before the
+holds an instance of its class (``TypeError`` otherwise).  A tuple of
+``choices`` and a ``must`` phrase bound a value: ``"be >= 1"``, ``"be
+positive"``, ``"lie in [0, 1]"``, ``"be in (0, 1]"``, ``"be a non-empty
+string"`` or ``"be a string path"``, failing with ``"<field> must
+<phrase>, got <value>"``.  The checks run at construction, before the
 class's own ``__post_init__``, so decoded values meet the same rules and
 messages as values passed in code.
 
@@ -335,6 +336,8 @@ def _test(must: str) -> Callable[[Any], bool]:
         return lambda v: v >= low
     if rule == "a non-empty string":
         return lambda v: isinstance(v, str) and v != ""
+    if rule == "a string path":
+        return lambda v: isinstance(v, str)
     low, high = map(float, rule[4:-1].split(", "))
     above = (lambda v: low <= v) if rule[3] == "[" else (lambda v: low < v)
     below = (lambda v: v <= high) if rule[-1] == "]" else (lambda v: v < high)

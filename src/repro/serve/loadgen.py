@@ -80,32 +80,18 @@ class LoadSpec(schema.Schema):
     reports).
     """
 
-    pattern: str = schema.field(
-        "poisson",
-        "--pattern",
-        "arrival pattern",
-        choices=LOAD_PATTERNS.names,
-        must="be a non-empty string",
-    )
+    pattern: str = schema.field("poisson", "--pattern", "arrival pattern",
+                                choices=LOAD_PATTERNS.names, must="be a non-empty string")
     num_streams: int = schema.field(4, "--streams", "concurrent camera streams", must="be >= 1")
-    rate_hz: float = schema.field(
-        15.0,
-        "--rate",
-        "per-stream arrival rate in frames/s (replay uses the sequence's native fps)",
-        must="be positive",
-    )
+    rate_hz: float = schema.field(15.0, "--rate", must="be positive", help=(
+        "per-stream arrival rate in frames/s (replay uses the sequence's native fps)"))
     frames_per_stream: Optional[int] = schema.field(
-        60, "--frames", "frames offered per stream", must="be >= 1"
-    )
+        60, "--frames", "frames offered per stream", must="be >= 1")
     seed: int = schema.field(0, "--load-seed", "arrival-schedule seed (stochastic patterns)")
     rates: Optional[Tuple[float, ...]] = schema.field(
-        None,
-        "--rate-per-stream",
-        "heterogeneous per-stream rates in frames/s "
-        "(stream i uses rate i mod len; overrides --rate)",
-        metavar="R0,R1,...",
-        omit_none=True,
-    )
+        None, "--rate-per-stream", metavar="R0,R1,...", omit_none=True,
+        help="heterogeneous per-stream rates in frames/s "
+        "(stream i uses rate i mod len; overrides --rate)")
 
     def __post_init__(self) -> None:
         if self.rates is not None:

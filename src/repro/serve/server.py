@@ -74,27 +74,16 @@ class ServePolicy(schema.Schema):
         End-to-end latency objective used for violation counting.
     """
 
-    max_batch_size: int = schema.field(
-        8, "--batch-size", "micro-batch flush size per replica (1 = unbatched)", must="be >= 1"
-    )
-    max_wait_ms: float = schema.field(
-        25.0, "--max-wait-ms", "max coalescing delay for the oldest ready frame", must="be >= 0"
-    )
-    queue_capacity: int = schema.field(
-        64,
-        "--queue-capacity",
-        "per-replica admission queue bound before shedding",
-        must="be >= 1",
-    )
-    shed_policy: str = schema.field(
-        SHED_OLDEST,
-        "--shed",
-        "which frame to drop when a replica queue overflows",
-        choices=SHED_POLICIES,
-    )
-    slo_ms: float = schema.field(
-        200.0, "--slo-ms", "end-to-end latency objective", must="be positive"
-    )
+    max_batch_size: int = schema.field(8, "--batch-size", must="be >= 1",
+                                       help="micro-batch flush size per replica (1 = unbatched)")
+    max_wait_ms: float = schema.field(25.0, "--max-wait-ms", must="be >= 0",
+                                      help="max coalescing delay for the oldest ready frame")
+    queue_capacity: int = schema.field(64, "--queue-capacity", must="be >= 1",
+                                       help="per-replica admission queue bound before shedding")
+    shed_policy: str = schema.field(SHED_OLDEST, "--shed", choices=SHED_POLICIES,
+                                    help="which frame to drop when a replica queue overflows")
+    slo_ms: float = schema.field(200.0, "--slo-ms", "end-to-end latency objective",
+                                 must="be positive")
 
 
 @dataclass(frozen=True)
@@ -131,18 +120,10 @@ class ServiceModel(schema.Schema):
         calibrated from; ``None`` marks explicit uncalibrated rates.
     """
 
-    invocation_overhead_ms: Optional[float] = schema.field(
-        None,
-        "--overhead-ms",
-        "explicit fixed cost per batched detector invocation (incompatible with --device)",
-        must="be >= 0",
-    )
-    gops_per_second: Optional[float] = schema.field(
-        None,
-        "--gops",
-        "explicit accelerator throughput in Gops/s (incompatible with --device)",
-        must="be positive",
-    )
+    invocation_overhead_ms: Optional[float] = schema.field(None, "--overhead-ms", must="be >= 0",
+        help="explicit fixed cost per batched detector invocation (incompatible with --device)")
+    gops_per_second: Optional[float] = schema.field(None, "--gops", must="be positive",
+        help="explicit accelerator throughput in Gops/s (incompatible with --device)")
     device: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -413,28 +394,19 @@ class _ServingFront:
         fleet = result.account.fleet()
         slo = result.account.to_dict(fleet)
         summary, fields = self._own_fields(requests, pool, result, fleet, slo)
-        loop.emit_summary(
-            {
-                "record": self.SUMMARY,
-                "frames_offered": len(requests),
-                "frames_served": fleet.served,
-                "frames_shed": fleet.shed,
-                "batches": result.batches,
-                "invocations": result.invocations,
-                "makespan_seconds": result.makespan_seconds,
-                **summary,
-                "p99_ms": fleet.percentile(99.0) * 1e3,
-            },
-            result,
-        )
+        totals = {
+            "frames_offered": len(requests),
+            "frames_served": fleet.served,
+            "frames_shed": fleet.shed,
+            "batches": result.batches,
+            "invocations": result.invocations,
+            "makespan_seconds": result.makespan_seconds,
+        }
+        p99_ms = fleet.percentile(99.0) * 1e3
+        loop.emit_summary({"record": self.SUMMARY, **totals, **summary, "p99_ms": p99_ms}, result)
         return self.REPORT(
             policy=self.policy,
-            frames_offered=len(requests),
-            frames_served=fleet.served,
-            frames_shed=fleet.shed,
-            batches=result.batches,
-            invocations=result.invocations,
-            makespan_seconds=result.makespan_seconds,
+            **totals,
             compute_seconds=result.compute_seconds,
             slo=slo,
             query_windows=result.query_windows,
