@@ -44,6 +44,7 @@ from repro import schema
 from repro.api.session import Session
 from repro.api.spec import DatasetSpec, EvalSpec, ExecSpec, ExperimentSpec, ServeSpec
 from repro.core.config import SystemConfig
+from repro.fleet import FleetReport, FleetSpec
 from repro.harness.configs import table2_specs, table6_specs
 from repro.harness.sweeps import cthresh_sweep
 from repro.harness.tables import format_table
@@ -92,6 +93,11 @@ def cmd_models(args: argparse.Namespace) -> int:
     return 0
 
 
+def _kitti(args: argparse.Namespace) -> DatasetSpec:
+    """The KITTI-like data of a command's ``--sequences``/``--frames``."""
+    return DatasetSpec("kitti", num_sequences=args.sequences, frames_per_sequence=args.frames)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = schema.from_flags(
         SystemConfig, args, margin=args.margin, input_scale=args.input_scale,
@@ -99,11 +105,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     spec = ExperimentSpec(
         system=config,
-        dataset=DatasetSpec(
-            "kitti",
-            num_sequences=args.sequences,
-            frames_per_sequence=args.frames,
-        ),
+        dataset=_kitti(args),
         exec=ExecSpec(workers=args.workers),
     )
     session = _session(args)
@@ -163,13 +165,7 @@ def cmd_table6(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     session = _session(args)
-    dataset = session.dataset(
-        DatasetSpec(
-            "kitti",
-            num_sequences=args.sequences,
-            frames_per_sequence=args.frames,
-        )
-    )
+    dataset = session.dataset(_kitti(args))
     points = cthresh_sweep(
         dataset,
         proposal_models=tuple(args.models.split(",")),
@@ -397,14 +393,7 @@ def cmd_table7(args: argparse.Namespace) -> int:
     from repro.cost import CostModel
     from repro.gpu.table7 import compute_table7_timings
 
-    session = _session(args)
-    dataset = session.dataset(
-        DatasetSpec(
-            "kitti",
-            num_sequences=args.sequences,
-            frames_per_sequence=args.frames,
-        )
-    )
+    dataset = _session(args).dataset(_kitti(args))
     timings = compute_table7_timings(
         dataset.sequences, CostModel.for_device(args.device)
     )
@@ -467,8 +456,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet_run(args: argparse.Namespace) -> int:
-    from repro.fleet import FleetSpec
-
     try:
         spec = schema.from_flags(FleetSpec, args)
     except (KeyError, ValueError) as exc:
@@ -522,8 +509,6 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet_tune(args: argparse.Namespace) -> int:
-    from repro.fleet import FleetSpec
-
     try:
         spec = schema.from_flags(FleetSpec, args)
     except (KeyError, ValueError) as exc:
@@ -548,8 +533,6 @@ def cmd_fleet_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet_report(args: argparse.Namespace) -> int:
-    from repro.fleet import FleetReport, FleetSpec
-
     try:
         with open(args.file, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -674,8 +657,6 @@ _AUTOSCALER_FLAGS = (
 def _add_spec_flags(parser: argparse.ArgumentParser, *groups, optional=False) -> None:
     """Add the spec flags of ``groups``; ``optional`` makes every
     positional optional (``repro query --example`` names no system)."""
-    from repro.fleet import FleetSpec
-
     table = schema.flags(ServeSpec, FleetSpec)
     for name in (name for group in groups for name in group):
         kwargs = table[name]
